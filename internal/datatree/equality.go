@@ -3,7 +3,6 @@ package datatree
 import (
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Encoder assigns canonical integer codes to subtrees such that two
@@ -24,42 +23,75 @@ import (
 type Encoder struct {
 	intern map[string]int
 	cache  map[*Node]int
+	// key is the reused buffer canonical keys are assembled in; a key
+	// string is allocated only when it is interned for the first time.
+	key []byte
+	// stack holds the child codes of every node on the current
+	// encoding path, each node's codes above its ancestors'.
+	stack []int
+}
+
+// Reserve sizes the per-node memo for n nodes, so encoding a whole
+// tree of that size does not rehash it as it fills. It is a hint and
+// has no effect on codes; call it before the first Encode.
+func (e *Encoder) Reserve(n int) {
+	if e.cache == nil {
+		e.cache = make(map[*Node]int, n)
+	}
 }
 
 // Encode returns the canonical code of the subtree rooted at n.
 func (e *Encoder) Encode(n *Node) int {
-	if e.intern == nil {
-		e.intern = make(map[string]int)
-		e.cache = make(map[*Node]int)
-	}
 	if c, ok := e.cache[n]; ok {
 		return c
 	}
-	childCodes := make([]int, len(n.Children))
-	for i, c := range n.Children {
-		childCodes[i] = e.Encode(c)
+	if e.cache == nil {
+		e.cache = make(map[*Node]int)
 	}
-	sort.Ints(childCodes)
-	var b strings.Builder
-	b.WriteString(n.Label)
-	b.WriteByte(0)
+	base := len(e.stack)
+	for _, c := range n.Children {
+		code := e.Encode(c)
+		e.stack = append(e.stack, code)
+	}
+	codes := e.stack[base:]
+	sort.Ints(codes)
+	// Key layout: label, NUL, 'v' and the value if there is one, NUL,
+	// then each sorted child code in decimal followed by ','.
+	k := append(e.key[:0], n.Label...)
+	k = append(k, 0)
 	if n.HasValue {
-		b.WriteByte('v')
-		b.WriteString(n.Value)
+		k = append(k, 'v')
+		k = append(k, n.Value...)
 	}
-	b.WriteByte(0)
-	for _, c := range childCodes {
-		b.WriteString(strconv.Itoa(c))
-		b.WriteByte(',')
-	}
-	key := b.String()
-	code, ok := e.intern[key]
-	if !ok {
-		code = len(e.intern) + 1
-		e.intern[key] = code
-	}
+	k = append(k, 0)
+	code := e.internKey(appendCodes(k, codes))
+	e.stack = e.stack[:base]
 	e.cache[n] = code
 	return code
+}
+
+// internKey returns the code of the key assembled in e.key, assigning
+// the next code if it is new. The lookup converts the buffer without
+// copying; only a first sighting allocates the key string.
+func (e *Encoder) internKey(k []byte) int {
+	e.key = k
+	if code, ok := e.intern[string(k)]; ok {
+		return code
+	}
+	if e.intern == nil {
+		e.intern = make(map[string]int)
+	}
+	code := len(e.intern) + 1
+	e.intern[string(k)] = code
+	return code
+}
+
+func appendCodes(k []byte, codes []int) []byte {
+	for _, c := range codes {
+		k = strconv.AppendInt(k, int64(c), 10)
+		k = append(k, ',')
+	}
+	return k
 }
 
 // NodeValueEqual reports whether two nodes are node-value equal per
@@ -83,11 +115,7 @@ func NodeValueEqual(a, b *Node) bool {
 // the primitive behind set partitions (the paper's Section 4.4) and
 // path-value equality.
 func (e *Encoder) MultisetCode(nodes []*Node) int {
-	codes := make([]int, len(nodes))
-	for i, n := range nodes {
-		codes[i] = e.Encode(n)
-	}
-	return e.MultisetOfCodes(codes)
+	return e.collectionCode("ms", nodes, true)
 }
 
 // MultisetOfCodes interns an unordered collection of already-encoded
@@ -95,10 +123,6 @@ func (e *Encoder) MultisetCode(nodes []*Node) int {
 // builders use this form when the member subtrees are long gone and
 // only their codes were retained.
 func (e *Encoder) MultisetOfCodes(codes []int) int {
-	if e.intern == nil {
-		e.intern = make(map[string]int)
-		e.cache = make(map[*Node]int)
-	}
 	sort.Ints(codes)
 	return e.internCodes("ms", codes)
 }
@@ -138,32 +162,30 @@ func (e *Encoder) Forget(n *Node) {
 // variant discussed in the paper's Section 4.5 remark on element
 // order (ablation experiment E7).
 func (e *Encoder) ListCode(nodes []*Node) int {
-	if e.intern == nil {
-		e.intern = make(map[string]int)
-		e.cache = make(map[*Node]int)
+	return e.collectionCode("ls", nodes, false)
+}
+
+// collectionCode encodes the members on the scratch stack, sorting
+// them for multiset semantics, and interns the tagged code list.
+func (e *Encoder) collectionCode(tag string, nodes []*Node, unordered bool) int {
+	base := len(e.stack)
+	for _, n := range nodes {
+		code := e.Encode(n)
+		e.stack = append(e.stack, code)
 	}
-	codes := make([]int, len(nodes))
-	for i, n := range nodes {
-		codes[i] = e.Encode(n)
+	codes := e.stack[base:]
+	if unordered {
+		sort.Ints(codes)
 	}
-	return e.internCodes("ls", codes)
+	code := e.internCodes(tag, codes)
+	e.stack = e.stack[:base]
+	return code
 }
 
 func (e *Encoder) internCodes(tag string, codes []int) int {
-	var b strings.Builder
-	b.WriteString(tag)
-	b.WriteByte(0)
-	for _, c := range codes {
-		b.WriteString(strconv.Itoa(c))
-		b.WriteByte(',')
-	}
-	key := b.String()
-	code, ok := e.intern[key]
-	if !ok {
-		code = len(e.intern) + 1
-		e.intern[key] = code
-	}
-	return code
+	k := append(e.key[:0], tag...)
+	k = append(k, 0)
+	return e.internKey(appendCodes(k, codes))
 }
 
 // PathValueEqual reports whether path p1 on tree t1 and path p2 on

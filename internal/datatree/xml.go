@@ -1,6 +1,7 @@
 package datatree
 
 import (
+	"bytes"
 	"context"
 	"encoding/xml"
 	"fmt"
@@ -93,82 +94,182 @@ func ParseXML(r io.Reader) (*Tree, error) {
 // tokens; exceeding a limit or cancellation aborts the parse with a
 // "datatree:" error.
 func ParseXMLContext(ctx context.Context, r io.Reader, lim ParseLimits) (*Tree, error) {
+	root, err := parseXML(ctx, r, lim, nil)
+	if err != nil {
+		return nil, err
+	}
+	return NewTree(root), nil
+}
+
+// openElement is one element whose end tag has not been read yet.
+type openElement struct {
+	n     *Node
+	space string // namespace prefix of the start tag, as written
+	kids  int    // offset of the element's children on the shared child stack
+	text  int    // offset of the element's character data in the shared buffer
+	binds int    // namespace bindings in scope before the element
+}
+
+// nsBinding is one xmlns:prefix="uri" declaration in scope.
+type nsBinding struct{ prefix, uri string }
+
+// parseXML is the token loop behind ParseXMLContext and
+// StreamRootChildrenContext. With emit nil it returns the root of the
+// whole tree. Otherwise the root keeps no children: its attribute
+// leaves and then each completed root child go to emit as soon as
+// they are built, detached from the root, and root-level character
+// data is dropped. The root, once read, is returned even with an
+// error, for its label.
+//
+// The loop reads xml.Decoder.RawToken, which neither checks that end
+// tags match nor tracks namespace scopes, so it does both itself,
+// exactly as Token would: an end tag must repeat its start tag's
+// prefix and local name, and the namespace bindings in scope decide
+// which attributes are namespace declarations. The open elements
+// share two stacks, each element's part above its ancestors': one of
+// children, copied into an exactly sized Children slice when the
+// element ends, and one buffer of character data, trimmed into the
+// element's value or @text leaf.
+func parseXML(ctx context.Context, r io.Reader, lim ParseLimits, emit func(*Node) error) (*Node, error) {
 	dec := xml.NewDecoder(r)
 	guard := &parseGuard{ctx: ctx, lim: lim}
-	var root *Node
-	var stack []*Node
-	var texts []*strings.Builder
-
+	var (
+		root  *Node
+		open  []openElement
+		kids  []*Node
+		text  []byte
+		binds []nsBinding
+	)
+	syntaxError := func(msg string) error {
+		line, _ := dec.InputPos()
+		return fmt.Errorf("datatree: XML parse error: %w", &xml.SyntaxError{Msg: msg, Line: line})
+	}
 	for {
-		tok, err := dec.Token()
+		tok, err := dec.RawToken()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("datatree: XML parse error: %w", err)
+			return root, fmt.Errorf("datatree: XML parse error: %w", err)
 		}
 		if err := guard.tick(); err != nil {
-			return nil, err
+			return root, err
 		}
 		switch tk := tok.(type) {
 		case xml.StartElement:
-			if err := guard.checkDepth(len(stack) + 1); err != nil {
-				return nil, err
+			if len(open) == 0 && root != nil {
+				return root, fmt.Errorf("datatree: multiple root elements (%q and %q)", root.Label, tk.Name.Local)
+			}
+			if err := guard.checkDepth(len(open) + 1); err != nil {
+				return root, err
 			}
 			n := &Node{Label: tk.Name.Local}
-			for _, a := range tk.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				n.AddLeaf("@"+a.Name.Local, a.Value)
-			}
-			if err := guard.addNodes(1 + len(n.Children)); err != nil {
-				return nil, err
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("datatree: multiple root elements (%q and %q)", root.Label, n.Label)
-				}
+			switch {
+			case root == nil:
 				root = n
-			} else {
-				p := stack[len(stack)-1]
-				n.Parent = p
-				p.Children = append(p.Children, n)
+			case emit == nil || len(open) > 1:
+				n.Parent = open[len(open)-1].n
+				kids = append(kids, n)
 			}
-			stack = append(stack, n)
-			texts = append(texts, &strings.Builder{})
+			el := openElement{n: n, space: tk.Name.Space, kids: len(kids), text: len(text), binds: len(binds)}
+			for _, a := range tk.Attr {
+				if a.Name.Space == "xmlns" {
+					binds = append(binds, nsBinding{a.Name.Local, a.Value})
+				}
+			}
+			for _, a := range tk.Attr {
+				if !namespaceAttr(a.Name, binds) {
+					kids = append(kids, &Node{Label: "@" + a.Name.Local, Parent: n, Value: a.Value, HasValue: true})
+				}
+			}
+			nodes := 1 + len(kids) - el.kids
+			if emit != nil && n == root {
+				nodes = 1 + len(tk.Attr) // the streamed root counts every attribute
+			}
+			if err := guard.addNodes(nodes); err != nil {
+				return root, err
+			}
+			if emit != nil && n == root {
+				for _, leaf := range kids {
+					leaf.Parent = nil
+					if err := emit(leaf); err != nil {
+						return root, err
+					}
+				}
+				kids = kids[:0]
+			}
+			open = append(open, el)
 		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("datatree: unbalanced end element %q", tk.Name.Local)
+			if len(open) == 0 {
+				return root, syntaxError("unexpected end element </" + tk.Name.Local + ">")
 			}
-			n := stack[len(stack)-1]
-			text := strings.TrimSpace(texts[len(texts)-1].String())
-			stack = stack[:len(stack)-1]
-			texts = texts[:len(texts)-1]
-			if text != "" {
-				if len(n.Children) == 0 {
-					n.Value = text
-					n.HasValue = true
+			el := open[len(open)-1]
+			n := el.n
+			switch {
+			case n.Label != tk.Name.Local:
+				return root, syntaxError("element <" + n.Label + "> closed by </" + tk.Name.Local + ">")
+			case el.space != tk.Name.Space:
+				space := tk.Name.Space
+				if space == "" {
+					space = `""`
+				}
+				return root, syntaxError("element <" + n.Label + "> in space " + el.space +
+					" closed by </" + tk.Name.Local + "> in space " + space)
+			}
+			open, binds = open[:len(open)-1], binds[:el.binds]
+			if v := bytes.TrimSpace(text[el.text:]); len(v) > 0 {
+				if len(kids) == el.kids {
+					n.Value, n.HasValue = string(v), true
 				} else {
-					n.AddLeaf(TextLabel, text)
+					kids = append(kids, &Node{Label: TextLabel, Parent: n, Value: string(v), HasValue: true})
 					if err := guard.addNodes(1); err != nil {
-						return nil, err
+						return root, err
 					}
 				}
 			}
+			text = text[:el.text]
+			if len(kids) > el.kids {
+				n.Children = append([]*Node(nil), kids[el.kids:]...)
+				clear(kids[el.kids:])
+				kids = kids[:el.kids]
+			}
+			if emit != nil && len(open) == 1 {
+				if err := emit(n); err != nil {
+					return root, err
+				}
+			}
 		case xml.CharData:
-			if len(texts) > 0 {
-				texts[len(texts)-1].Write(tk)
+			if len(open) > 1 || len(open) == 1 && emit == nil {
+				text = append(text, tk...)
 			}
 		}
 	}
 	if root == nil {
 		return nil, fmt.Errorf("datatree: document has no root element")
 	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("datatree: unexpected EOF inside element %q", stack[len(stack)-1].Label)
+	if len(open) != 0 {
+		return root, fmt.Errorf("datatree: unexpected EOF inside element %q", open[len(open)-1].n.Label)
 	}
-	return NewTree(root), nil
+	return root, nil
+}
+
+// namespaceAttr reports whether the attribute is one the data model
+// drops: a namespace declaration (xmlns or xmlns:p), or an attribute
+// whose prefix is bound to the namespace name "xmlns" itself — the
+// attributes namespace translation places in the "xmlns" space.
+func namespaceAttr(name xml.Name, binds []nsBinding) bool {
+	if name.Space == "xmlns" || name.Local == "xmlns" {
+		return true
+	}
+	if name.Space == "" || name.Space == "xml" {
+		return false
+	}
+	for i := len(binds) - 1; i >= 0; i-- {
+		if binds[i].prefix == name.Space {
+			return binds[i].uri == "xmlns"
+		}
+	}
+	return false
 }
 
 // ParseXMLString is ParseXML over a string.

@@ -53,6 +53,7 @@ func buildFromTree(ctx context.Context, t *datatree.Tree, s *schema.Schema, opts
 	// the original build — that retention is what makes an in-memory
 	// hierarchy updatable.
 	ps := newPatchState(t, len(h.Relations))
+	ps.enc.Reserve(t.Size()) // set columns encode nearly every node
 	bb := &buildBudget{ctx: ctx, opts: &opts, h: h}
 	h.Root.nodes = []*datatree.Node{t.Root}
 	h.Root.Keys = []int{t.Root.Key}

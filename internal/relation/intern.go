@@ -9,14 +9,14 @@ package relation
 // (partition.FromDense) instead of hash maps.
 type interner struct {
 	ids  map[string]int32 // value -> relation-wide id
-	cols [][]int64        // per column: relation-wide id -> dense code (0 = unassigned)
+	cols [][]int32        // per column: relation-wide id -> dense code (0 = unassigned)
 	next []int64          // per column: next unassigned dense code
 }
 
 func newInterner(nCols int) *interner {
 	in := &interner{
 		ids:  make(map[string]int32),
-		cols: make([][]int64, nCols),
+		cols: make([][]int32, nCols),
 		next: make([]int64, nCols),
 	}
 	for i := range in.next {
@@ -34,16 +34,21 @@ func (in *interner) code(ai int, v string) int64 {
 	}
 	col := in.cols[ai]
 	if int(id) >= len(col) {
-		grown := make([]int64, len(in.ids)+16)
+		// Doubling keeps interning amortized O(1) per value. A column
+		// only grows when it meets an id past its end, so its length
+		// stays below twice the relation's id count; int32 slots keep
+		// that within the 8 bytes per id a snug int64 table would take
+		// (dense codes never exceed the id count).
+		grown := make([]int32, max(2*len(col), int(id)+1, 16))
 		copy(grown, col)
 		col = grown
 		in.cols[ai] = col
 	}
 	if col[id] == 0 {
-		col[id] = in.next[ai]
+		col[id] = int32(in.next[ai])
 		in.next[ai]++
 	}
-	return col[id]
+	return int64(col[id])
 }
 
 // bound returns the exclusive upper bound of column ai's dense codes.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -125,5 +126,43 @@ func TestDensify(t *testing.T) {
 	}
 	if got := partition.FromDense(col, bound); !got.Equal(want) {
 		t.Fatalf("densified partition differs: %v vs %v", got.Groups, want.Groups)
+	}
+}
+
+// TestInternerColumnGrowthAmortized pins amortized O(1) interning:
+// a column's id→code table must grow geometrically, so interning n
+// distinct values into one column of a multi-column relation costs
+// O(log n) table grows on top of what the relation-wide value map
+// itself allocates (measured alongside on the same values).
+func TestInternerColumnGrowthAmortized(t *testing.T) {
+	const n = 100_000
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = "v" + strconv.Itoa(i)
+	}
+	var in *interner
+	total := testing.AllocsPerRun(3, func() {
+		in = newInterner(3)
+		for _, v := range vals {
+			in.code(1, v)
+		}
+	})
+	mapOnly := testing.AllocsPerRun(3, func() {
+		ids := make(map[string]int32)
+		for i, v := range vals {
+			ids[v] = int32(i)
+		}
+	})
+	if grows := total - mapOnly; grows > 64 {
+		t.Fatalf("interning %d distinct values into one column made %.0f allocations beyond the value map's %.0f; want O(log n)",
+			n, grows, mapOnly)
+	}
+	for i, v := range vals {
+		if got := in.code(1, v); got != int64(i+1) {
+			t.Fatalf("code(1, %q) = %d, want %d", v, got, i+1)
+		}
+	}
+	if b := in.bound(1); b != n+1 {
+		t.Fatalf("bound(1) = %d, want %d", b, n+1)
 	}
 }

@@ -577,12 +577,19 @@ func descend(pivot *datatree.Node, rel schema.RelPath) *datatree.Node {
 	if rel == "." {
 		return pivot
 	}
-	n := pivot
-	for _, step := range strings.Split(strings.TrimPrefix(string(rel), "./"), "/") {
+	return descendSteps(pivot, strings.TrimPrefix(string(rel), "./"))
+}
+
+// descendSteps follows the '/'-separated labels of steps from n,
+// without splitting the path into a slice.
+func descendSteps(n *datatree.Node, steps string) *datatree.Node {
+	for n != nil {
+		step, rest, more := strings.Cut(steps, "/")
 		n = n.Child(step)
-		if n == nil {
-			return nil
+		if !more {
+			break
 		}
+		steps = rest
 	}
 	return n
 }

@@ -276,15 +276,16 @@ func (b *Builder) dictCode(rel *Relation, ai int, value string) int64 {
 // collectMembers returns the set-element member nodes under pivot for
 // a relative path whose final step is the set label.
 func collectMembers(pivot *datatree.Node, rel schema.RelPath) []*datatree.Node {
-	steps := strings.Split(strings.TrimPrefix(string(rel), "./"), "/")
+	steps := strings.TrimPrefix(string(rel), "./")
 	parent := pivot
-	for _, s := range steps[:len(steps)-1] {
-		parent = parent.Child(s)
+	if i := strings.LastIndexByte(steps, '/'); i >= 0 {
+		parent = descendSteps(pivot, steps[:i])
 		if parent == nil {
 			return nil
 		}
+		steps = steps[i+1:]
 	}
-	return parent.ChildrenLabeled(steps[len(steps)-1])
+	return parent.ChildrenLabeled(steps)
 }
 
 // BuildStream constructs the hierarchical representation directly
