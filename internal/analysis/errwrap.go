@@ -1,7 +1,7 @@
 package analysis
 
 // errwrap enforces the module's error-discipline contract around its
-// sentinel errors (relation.ErrEmptyTree, relation.ErrBuilderFinished
+// sentinel errors (relation.ErrEmptyTree, relation.ErrNotUpdatable
 // and friends):
 //
 //  1. A sentinel declared in another module package must be compared

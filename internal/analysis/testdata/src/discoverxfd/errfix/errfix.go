@@ -20,7 +20,7 @@ func classify(err error) int {
 	if err == relation.ErrEmptyTree { // want "sentinel relation.ErrEmptyTree compared with =="
 		return 2
 	}
-	if errors.Is(err, relation.ErrBuilderFinished) {
+	if errors.Is(err, relation.ErrNotUpdatable) {
 		return 3
 	}
 	return 1

@@ -9,5 +9,5 @@ import "errors"
 // ErrEmptyTree mirrors the real sentinel of the same name.
 var ErrEmptyTree = errors.New("relation: document has no tuples")
 
-// ErrBuilderFinished mirrors the real sentinel of the same name.
-var ErrBuilderFinished = errors.New("relation: builder already finished")
+// ErrNotUpdatable mirrors the real sentinel of the same name.
+var ErrNotUpdatable = errors.New("relation: hierarchy is not updatable (streamed or hand-assembled)")

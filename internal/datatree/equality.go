@@ -119,12 +119,19 @@ func (e *Encoder) MultisetCode(nodes []*Node) int {
 }
 
 // MultisetOfCodes interns an unordered collection of already-encoded
-// subtree codes. The argument slice is sorted in place. Streaming
-// builders use this form when the member subtrees are long gone and
-// only their codes were retained.
+// subtree codes: the code MultisetCode gives the members they were
+// encoded from. The argument slice is sorted in place. Builders use
+// this form when the member subtrees are long gone and only their
+// codes were kept.
 func (e *Encoder) MultisetOfCodes(codes []int) int {
 	sort.Ints(codes)
 	return e.internCodes("ms", codes)
+}
+
+// ListOfCodes is MultisetOfCodes for an ordered list: the code
+// ListCode gives the members the codes were encoded from, in order.
+func (e *Encoder) ListOfCodes(codes []int) int {
+	return e.internCodes("ls", codes)
 }
 
 // Invalidate drops the cached codes of n and every ancestor of n.

@@ -5,11 +5,6 @@ import (
 	"fmt"
 )
 
-// ErrBuilderFinished is returned by Builder methods invoked after
-// Finish: a finished builder has handed its hierarchy off and cannot
-// accept more subtrees.
-var ErrBuilderFinished = errors.New("relation: builder already finished")
-
 // ErrEmptyTree is returned by Build/BuildContext when the tree is nil
 // or has no root.
 var ErrEmptyTree = errors.New("relation: empty tree")

@@ -46,19 +46,4 @@ func TestSentinelErrors(t *testing.T) {
 	if !errors.As(err, &rm) || rm.What != "document" {
 		t.Fatalf("BuildStream with wrong root = %v, want document RootMismatchError", err)
 	}
-
-	b, err := NewBuilder(s, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Finish(); !errors.Is(err, ErrBuilderFinished) {
-		t.Fatalf("second Finish = %v, want ErrBuilderFinished", err)
-	}
-	n := &datatree.Node{Label: "name"}
-	if err := b.AddRootChild(n); !errors.Is(err, ErrBuilderFinished) {
-		t.Fatalf("AddRootChild after Finish = %v, want ErrBuilderFinished", err)
-	}
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -112,20 +113,22 @@ func TestColumnPartitionDenseMatchesGeneric(t *testing.T) {
 	}
 }
 
-func TestDensify(t *testing.T) {
-	col := []int64{42, -1, 7, 42, 9000, -2, 7}
-	want := partition.FromCodes(append([]int64(nil), col...))
-	bound := densify(col)
-	if bound != 4 {
-		t.Fatalf("bound = %d, want 4", bound)
+// TestDenseRemap checks the remap that codes subtree and collection
+// columns: sparse encoder codes become dense codes in [1, bound) in
+// order of first occurrence, and a code seen before maps back to its
+// old dense code.
+func TestDenseRemap(t *testing.T) {
+	r := &Relation{Attrs: []Attr{{Rel: "./c", Kind: Complex}}, ColBound: []int64{1}}
+	ps := &patchState{remap: [][]map[int64]int64{{make(map[int64]int64)}}}
+	var got []int64
+	for _, c := range []int64{42, 7, 42, 9000, 7} {
+		got = append(got, ps.dense(r, 0, c))
 	}
-	for i, c := range col {
-		if c >= bound || (c < 1 && !IsNull(c)) {
-			t.Fatalf("col[%d] = %d not dense under bound %d", i, c, bound)
-		}
+	if want := []int64{1, 2, 1, 3, 2}; !slices.Equal(got, want) {
+		t.Fatalf("dense codes = %v, want %v", got, want)
 	}
-	if got := partition.FromDense(col, bound); !got.Equal(want) {
-		t.Fatalf("densified partition differs: %v vs %v", got.Groups, want.Groups)
+	if r.ColBound[0] != 4 {
+		t.Fatalf("bound = %d, want 4", r.ColBound[0])
 	}
 }
 

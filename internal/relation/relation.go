@@ -131,7 +131,7 @@ type Relation struct {
 	// in Parent (-1 only in the root relation).
 	ParentIdx []int32
 
-	nodes []*datatree.Node // pivot nodes, parallel to tuples
+	nodes []*datatree.Node // pivot nodes, parallel to tuples; nil when streamed
 }
 
 // NRows returns the number of tuples.
@@ -152,8 +152,14 @@ func (r *Relation) AttrIndex(rel schema.RelPath) int {
 }
 
 // Node returns the pivot data node of tuple t (for witness
-// reporting).
-func (r *Relation) Node(t int) *datatree.Node { return r.nodes[t] }
+// reporting), or nil when the relation keeps no nodes (streamed
+// builds).
+func (r *Relation) Node(t int) *datatree.Node {
+	if r.nodes == nil {
+		return nil
+	}
+	return r.nodes[t]
+}
 
 // ColumnPartition builds the striped partition of a single column,
 // using the dense counting path when the column's codes were interned
@@ -182,8 +188,9 @@ type Hierarchy struct {
 	// Truncated reports that tuple ingestion stopped early because a
 	// resource budget (Options.MaxTuples or Options.Deadline) ran out;
 	// the representation is structurally consistent but covers only a
-	// prefix of the document's tuples. TruncatedReason says which
-	// budget was exhausted.
+	// document-order prefix of the document's tuples, the same prefix
+	// for a tree and a stream. TruncatedReason says which budget was
+	// exhausted.
 	Truncated       bool
 	TruncatedReason string
 
@@ -194,7 +201,7 @@ type Hierarchy struct {
 	// Lock/RLock). The zero value works for hand-assembled hierarchies.
 	mu sync.RWMutex
 	// upd is the retained encoding state (tree, subtree encoder,
-	// interners, densifier remaps) that makes in-place updates
+	// interners, dense-code remaps) that makes in-place updates
 	// possible; nil for streamed or hand-assembled hierarchies.
 	upd *patchState
 }
@@ -264,9 +271,9 @@ type Options struct {
 	DisableSetAttrs bool
 	// MaxTuples caps the total number of tuples ingested across all
 	// essential relations. When the cap is reached, Build/BuildStream
-	// stop adding tuples and mark the hierarchy Truncated instead of
-	// failing — graceful degradation for oversized inputs. 0 means
-	// unlimited.
+	// stop adding tuples (keeping the first MaxTuples in document
+	// order) and mark the hierarchy Truncated instead of failing —
+	// graceful degradation for oversized inputs. 0 means unlimited.
 	MaxTuples int
 	// Deadline, when nonzero, is the wall-clock instant past which
 	// tuple ingestion stops, marking the hierarchy Truncated. The
@@ -441,135 +448,6 @@ func layoutHierarchy(s *schema.Schema, opts Options) (*Hierarchy, error) {
 	return h, nil
 }
 
-// populateTuples finds the pivot nodes of relation r underneath each
-// parent tuple. The descent from the parent pivot to r's pivot
-// crosses only non-set elements except for the final step. Ingestion
-// stops early (without error) once the build budget is exhausted.
-func populateTuples(r *Relation, bb *buildBudget) error {
-	rel := schema.MustRelativize(r.Parent.Pivot, r.Pivot)
-	steps := strings.Split(strings.TrimPrefix(string(rel), "./"), "/")
-	for pi, pnode := range r.Parent.nodes {
-		frontier := []*datatree.Node{pnode}
-		for _, step := range steps[:len(steps)-1] {
-			var next []*datatree.Node
-			for _, n := range frontier {
-				if c := n.Child(step); c != nil {
-					next = append(next, c)
-				}
-			}
-			frontier = next
-		}
-		last := steps[len(steps)-1]
-		for _, n := range frontier {
-			for _, c := range n.ChildrenLabeled(last) {
-				ok, err := bb.admit()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				r.nodes = append(r.nodes, c)
-				r.Keys = append(r.Keys, c.Key)
-				r.ParentIdx = append(r.ParentIdx, int32(pi))
-			}
-		}
-	}
-	return nil
-}
-
-// populateColumns encodes the Leaf and Complex attribute columns of
-// the relation, interning values into dense per-column codes (one
-// shared string table per relation). SetValue columns are filled
-// later by fillSetColumns.
-func populateColumns(bb *buildBudget, r *Relation, ps *patchState) error {
-	enc := ps.enc
-	n := r.NRows()
-	r.Cols = make([][]int64, len(r.Attrs))
-	r.ColBound = make([]int64, len(r.Attrs))
-	in := newInterner(len(r.Attrs))
-	ps.in[r.Index] = in
-	ps.remap[r.Index] = make([]map[int64]int64, len(r.Attrs))
-	for ai, a := range r.Attrs {
-		// A deadline truncation must not abort mid-relation: every
-		// attribute's column slice has to exist for the truncated
-		// snapshot to stay structurally consistent, so cancelled()
-		// converts a fired composed deadline into truncation and lets
-		// the (already-bounded) population finish.
-		if err := bb.cancelled(); err != nil {
-			return err
-		}
-		col := make([]int64, n)
-		r.Cols[ai] = col
-		if a.Kind == SetValue {
-			continue
-		}
-		for ti, pivot := range r.nodes {
-			node := descend(pivot, a.Rel)
-			switch {
-			case node == nil:
-				col[ti] = nullCode(ti)
-			case a.Kind == Complex:
-				col[ti] = int64(enc.Encode(node))
-			default: // Leaf
-				if !node.HasValue {
-					col[ti] = nullCode(ti)
-					continue
-				}
-				col[ti] = in.code(ai, node.Value)
-			}
-		}
-		if a.Kind == Complex {
-			// Encoder codes are dense across the document but sparse
-			// within one column; remap per column so partition builds
-			// stay on the counting path. The remap is retained for
-			// incremental re-encoding.
-			remap := make(map[int64]int64)
-			ps.remap[r.Index][ai] = remap
-			r.ColBound[ai] = densifyInto(col, remap)
-		} else {
-			r.ColBound[ai] = in.bound(ai)
-		}
-	}
-	return nil
-}
-
-// fillSetColumns encodes the SetValue columns of r by grouping each
-// child relation's tuples under their parent tuple and taking the
-// multiset (or list) code of the child subtrees. An empty collection
-// is a missing element — the path matches no node — and therefore a
-// null.
-func fillSetColumns(h *Hierarchy, r *Relation, ps *patchState, ordered bool) {
-	enc := ps.enc
-	for ai, a := range r.Attrs {
-		if a.Kind != SetValue {
-			continue
-		}
-		child := h.byPivot[a.Path]
-		members := make([][]*datatree.Node, r.NRows())
-		for ct, pi := range child.ParentIdx {
-			members[pi] = append(members[pi], child.nodes[ct])
-		}
-		col := r.Cols[ai]
-		for ti := range col {
-			if len(members[ti]) == 0 {
-				col[ti] = nullCode(ti)
-				continue
-			}
-			if ordered {
-				col[ti] = int64(enc.ListCode(members[ti]))
-			} else {
-				col[ti] = int64(enc.MultisetCode(members[ti]))
-			}
-		}
-		if ai < len(r.ColBound) {
-			remap := make(map[int64]int64)
-			ps.remap[r.Index][ai] = remap
-			r.ColBound[ai] = densifyInto(col, remap)
-		}
-	}
-}
-
 // descend follows a relative path of non-set steps from the pivot
 // node; "." returns the pivot itself. Returns nil if any step is
 // missing.
@@ -592,6 +470,32 @@ func descendSteps(n *datatree.Node, steps string) *datatree.Node {
 		steps = rest
 	}
 	return n
+}
+
+// memberParent resolves the relative path of a set element beneath
+// the pivot into the node its members hang off (nil if a non-set step
+// is missing) and the members' label.
+func memberParent(pivot *datatree.Node, rel schema.RelPath) (*datatree.Node, string) {
+	steps := strings.TrimPrefix(string(rel), "./")
+	if i := strings.LastIndexByte(steps, '/'); i >= 0 {
+		return descendSteps(pivot, steps[:i]), steps[i+1:]
+	}
+	return pivot, steps
+}
+
+// collectMembers appends the member nodes of the set element at rel
+// beneath the pivot to dst, in document order.
+func collectMembers(dst []*datatree.Node, pivot *datatree.Node, rel schema.RelPath) []*datatree.Node {
+	parent, label := memberParent(pivot, rel)
+	if parent == nil {
+		return dst
+	}
+	for _, c := range parent.Children {
+		if c.Label == label {
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 // nullCode returns the unique negative code for a missing value in

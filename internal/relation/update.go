@@ -142,25 +142,79 @@ func (cs *Changeset) Ops() int { return len(cs.Keys) }
 // false for streamed or hand-assembled ones).
 func (h *Hierarchy) Updatable() bool { return h.upd != nil && !h.Truncated }
 
-// patchState is the encoding state a built hierarchy retains to stay
-// updatable: the data tree, the shared subtree encoder, and the
-// per-relation interners and densifier remap tables of the original
-// build. All tables grow append-only under updates.
+// patchState is the encoding state a hierarchy is built with: the
+// shared subtree encoder and, by relation, the leaf interners and the
+// remap tables that turn encoder codes into dense column codes. A
+// hierarchy built from a tree keeps it, with the tree, to stay
+// updatable. All tables grow append-only under updates.
 type patchState struct {
 	tree     *datatree.Tree
 	enc      *datatree.Encoder
+	ordered  bool                // set columns use list codes (Options.OrderedSets)
 	in       []*interner         // by Relation.Index
 	remap    [][]map[int64]int64 // by Relation.Index, then attr index (Complex/SetValue)
 	rowByKey []map[int]int32     // by Relation.Index: pivot key → row; built lazily
+	members  []*datatree.Node    // scratch for one set cell's members
 }
 
-func newPatchState(t *datatree.Tree, nRels int) *patchState {
-	return &patchState{
-		tree:  t,
-		enc:   &datatree.Encoder{},
-		in:    make([]*interner, nRels),
-		remap: make([][]map[int64]int64, nRels),
+func newPatchState(h *Hierarchy, t *datatree.Tree, ordered bool) *patchState {
+	ps := &patchState{
+		tree:    t,
+		enc:     &datatree.Encoder{},
+		ordered: ordered,
+		in:      make([]*interner, len(h.Relations)),
+		remap:   make([][]map[int64]int64, len(h.Relations)),
 	}
+	for _, r := range h.Relations {
+		ps.in[r.Index] = newInterner(len(r.Attrs))
+		ps.remap[r.Index] = make([]map[int64]int64, len(r.Attrs))
+		for ai, a := range r.Attrs {
+			if a.Kind != Leaf {
+				ps.remap[r.Index][ai] = make(map[int64]int64)
+			}
+		}
+	}
+	return ps
+}
+
+// cell returns the code of attribute ai of r for the tuple at row t
+// whose pivot node is pivot. It is the one place a pivot and an
+// attribute become a column code, for builds and updates alike. Leaf
+// values are interned; subtree and collection codes go through the
+// column's remap. Either way codes are dense in order of first
+// occurrence, and the column bound grows with them. A missing element
+// is the row's null.
+func (ps *patchState) cell(r *Relation, ai int, pivot *datatree.Node, t int) int64 {
+	a := &r.Attrs[ai]
+	var code int
+	switch a.Kind {
+	case Leaf:
+		node := descend(pivot, a.Rel)
+		if node == nil || !node.HasValue {
+			return nullCode(t)
+		}
+		in := ps.in[r.Index]
+		c := in.code(ai, node.Value)
+		r.ColBound[ai] = in.bound(ai)
+		return c
+	case Complex:
+		node := descend(pivot, a.Rel)
+		if node == nil {
+			return nullCode(t)
+		}
+		code = ps.enc.Encode(node)
+	default: // SetValue: an empty collection is a missing element
+		ps.members = collectMembers(ps.members[:0], pivot, a.Rel)
+		switch {
+		case len(ps.members) == 0:
+			return nullCode(t)
+		case ps.ordered:
+			code = ps.enc.ListCode(ps.members)
+		default:
+			code = ps.enc.MultisetCode(ps.members)
+		}
+	}
+	return ps.dense(r, ai, int64(code))
 }
 
 // ensureRowIndex builds the pivot-key→row lookups on first use.
@@ -179,8 +233,10 @@ func (ps *patchState) ensureRowIndex(h *Hierarchy) {
 }
 
 // dense maps an encoder code to column ai's dense code, extending the
-// retained remap (and the column bound) for codes never seen in this
-// column.
+// remap (and the column bound) for codes never seen in this column.
+// The mapping stays valid forever because encoder codes are interned
+// append-only, so a re-encoded, unchanged subtree maps back to its old
+// dense code.
 func (ps *patchState) dense(r *Relation, ai int, code int64) int64 {
 	m := ps.remap[r.Index][ai]
 	if d, ok := m[code]; ok {
@@ -458,9 +514,7 @@ func (app *applier) applySet(rel *Relation, op *Update) (int, error) {
 	node.Value = op.Value
 	node.HasValue = true
 	app.ps.enc.Invalidate(node)
-	newCode := app.ps.in[rel.Index].code(ai, op.Value)
-	rel.ColBound[ai] = app.ps.in[rel.Index].bound(ai)
-	if rel.Cols[ai][t] != newCode {
+	if newCode := app.ps.cell(rel, ai, pivot, int(t)); rel.Cols[ai][t] != newCode {
 		rel.Cols[ai][t] = newCode
 		app.markDirty(rel, ai, t)
 	}
@@ -543,18 +597,10 @@ func (app *applier) applyInsert(rel *Relation, op *Update) (int, error) {
 	// SetValue columns get placeholder nulls and are coded by the
 	// batch-final recompute pass (which marks real values dirty).
 	t := rel.NRows()
-	in := app.ps.in[rel.Index]
 	for ai, a := range rel.Attrs {
-		var code int64
+		code := nullCode(t)
 		if a.Kind == Leaf {
-			if node := descend(pivot, a.Rel); node != nil && node.HasValue {
-				code = in.code(ai, node.Value)
-				rel.ColBound[ai] = in.bound(ai)
-			} else {
-				code = nullCode(t)
-			}
-		} else {
-			code = nullCode(t)
+			code = app.ps.cell(rel, ai, pivot, t)
 		}
 		rel.Cols[ai] = append(rel.Cols[ai], code)
 	}
@@ -687,51 +733,15 @@ func (app *applier) recompute() {
 			}
 		}
 		for ai, a := range r.Attrs {
-			switch a.Kind {
-			case Complex:
-				for _, t := range rows {
-					var code int64
-					if node := descend(r.nodes[t], a.Rel); node == nil {
-						code = nullCode(int(t))
-					} else {
-						code = ps.dense(r, ai, int64(ps.enc.Encode(node)))
-					}
-					if r.Cols[ai][t] != code {
-						r.Cols[ai][t] = code
-						app.markDirty(r, ai, t)
-					}
-				}
-			case SetValue:
-				for _, t := range rows {
-					members := app.setMembers(r.nodes[t], a.Rel)
-					var code int64
-					if len(members) == 0 {
-						code = nullCode(int(t))
-					} else if h.OrderedSets {
-						code = ps.dense(r, ai, int64(ps.enc.ListCode(members)))
-					} else {
-						code = ps.dense(r, ai, int64(ps.enc.MultisetCode(members)))
-					}
-					if r.Cols[ai][t] != code {
-						r.Cols[ai][t] = code
-						app.markDirty(r, ai, t)
-					}
+			if a.Kind == Leaf {
+				continue
+			}
+			for _, t := range rows {
+				if code := ps.cell(r, ai, r.nodes[t], int(t)); r.Cols[ai][t] != code {
+					r.Cols[ai][t] = code
+					app.markDirty(r, ai, t)
 				}
 			}
 		}
 	}
-}
-
-// setMembers returns the member nodes of a set element beneath the
-// pivot, in document order (which is what cold builds see, so ordered
-// list codes stay comparable).
-func (app *applier) setMembers(pivot *datatree.Node, rel schema.RelPath) []*datatree.Node {
-	steps := relSteps(rel)
-	cur := pivot
-	for _, step := range steps[:len(steps)-1] {
-		if cur = cur.Child(step); cur == nil {
-			return nil
-		}
-	}
-	return cur.ChildrenLabeled(steps[len(steps)-1])
 }

@@ -54,7 +54,8 @@ type Limits struct {
 	MaxNodes int
 	// MaxTuples caps the total tuples ingested into the hierarchical
 	// representation across all tuple classes; beyond it ingestion
-	// stops and the result is marked truncated. 0 means unlimited.
+	// stops, keeping a document-order prefix of the tuples, and the
+	// result is marked truncated. 0 means unlimited.
 	MaxTuples int
 	// MaxLatticeLevel caps the attribute-set size explored in any
 	// relation's lattice (the level-wise search is worst-case
