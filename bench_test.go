@@ -6,6 +6,7 @@
 package discoverxfd_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -145,7 +146,7 @@ func BenchmarkE5IntraInter(b *testing.B) {
 	b.Run("intra-only", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.DiscoverIntra(h, core.Options{}); err != nil {
+			if _, err := core.Discover(h, core.Options{NoInterRelation: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -291,7 +292,7 @@ func BenchmarkStreamVsMemory(b *testing.B) {
 		b.SetBytes(int64(len(xml)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := discoverxfd.DiscoverStream(strings.NewReader(xml), ds.Schema, nil); err != nil {
+			if _, err := discoverxfd.NewEngine(nil).DiscoverStream(context.Background(), strings.NewReader(xml), ds.Schema); err != nil {
 				b.Fatal(err)
 			}
 		}

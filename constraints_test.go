@@ -1,6 +1,7 @@
 package discoverxfd_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ func TestCheckConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	h, err := discoverxfd.NewEngine(nil).BuildHierarchy(context.Background(), doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestCheckConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := discoverxfd.CheckConstraints(h, cs)
+	results, err := discoverxfd.NewEngine(nil).CheckConstraints(context.Background(), h, cs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestCheckConstraints(t *testing.T) {
 
 func TestCheckConstraintsUnknownClass(t *testing.T) {
 	doc, _ := discoverxfd.ParseDocument(libraryXML)
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	h, err := discoverxfd.NewEngine(nil).BuildHierarchy(context.Background(), doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestCheckConstraintsUnknownClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := discoverxfd.CheckConstraints(h, cs); err == nil {
+	if _, err := discoverxfd.NewEngine(nil).CheckConstraints(context.Background(), h, cs); err == nil {
 		t.Fatal("unknown class must error")
 	}
 }
@@ -68,11 +69,11 @@ func TestCheckConstraintsUnknownClass(t *testing.T) {
 // reports must re-verify from its printed form.
 func TestDiscoveredConstraintsRecheck(t *testing.T) {
 	doc, _ := discoverxfd.ParseDocument(libraryXML)
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	h, err := discoverxfd.NewEngine(nil).BuildHierarchy(context.Background(), doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverxfd.DiscoverHierarchy(h, nil)
+	res, err := discoverxfd.NewEngine(nil).DiscoverHierarchy(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestDiscoveredConstraintsRecheck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("discovery output failed to re-parse: %v", err)
 	}
-	results, err := discoverxfd.CheckConstraints(h, cs)
+	results, err := discoverxfd.NewEngine(nil).CheckConstraints(context.Background(), h, cs)
 	if err != nil {
 		t.Fatal(err)
 	}

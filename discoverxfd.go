@@ -6,13 +6,19 @@
 //
 // # Quickstart
 //
-//	doc, err := discoverxfd.LoadDocumentFile("warehouse.xml")
+//	eng := discoverxfd.NewEngine(nil) // default options
+//	doc, err := eng.LoadDocumentFile(ctx, "warehouse.xml")
 //	if err != nil { ... }
-//	res, err := discoverxfd.Discover(doc, nil, nil) // schema inferred
+//	res, err := eng.Discover(ctx, doc, nil) // schema inferred
 //	if err != nil { ... }
 //	for _, r := range res.Redundancies {
 //		fmt.Println(r)
 //	}
+//
+// Every operation — loading, building hierarchies, discovery,
+// evaluation, constraint checks, updates — is a method of Engine.
+// The one shortcut is Discover(doc, s, opts), which runs a one-shot
+// Engine without a context.
 //
 // Discovered constraints are reported in the paper's notation: an FD
 // such as
@@ -34,8 +40,6 @@ package discoverxfd
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"time"
 
 	"discoverxfd/internal/core"
@@ -43,7 +47,6 @@ import (
 	"discoverxfd/internal/relation"
 	"discoverxfd/internal/schema"
 	"discoverxfd/internal/source"
-	"discoverxfd/internal/source/jsondoc"
 	"discoverxfd/internal/trace"
 )
 
@@ -74,7 +77,7 @@ type (
 	// Stats carries discovery instrumentation.
 	Stats = core.Stats
 	// Evaluation is the outcome of checking one FD directly against
-	// the data (Evaluate).
+	// the data (Engine.Evaluate).
 	Evaluation = core.Evaluation
 	// Hierarchy is the hierarchical representation of a document (one
 	// relation per essential tuple class).
@@ -100,13 +103,13 @@ type (
 var (
 	// ErrEmptyTree is returned when a document has no root node.
 	ErrEmptyTree = relation.ErrEmptyTree
-	// ErrUnknownFormat is returned by LoadDocumentFile when neither
-	// the file extension nor the content matches a registered document
-	// format (XML, JSON).
+	// ErrUnknownFormat is returned by Engine.LoadDocumentFile when
+	// neither the file extension nor the content matches a registered
+	// document format (XML, JSON).
 	ErrUnknownFormat = source.ErrUnknownFormat
 )
 
-// Options configures Discover.
+// Options configures an Engine (and the one-shot Discover).
 type Options struct {
 	// MaxLHS bounds the number of attributes drawn from one hierarchy
 	// level into an FD's LHS; 0 means unbounded.
@@ -158,12 +161,10 @@ type Options struct {
 	RelationHook func(pivot Path)
 }
 
-// coreOptions maps the public options onto the engine's, carrying the
-// absolute wall-clock deadline computed at the call boundary.
-func (o *Options) coreOptions(deadline time.Time) core.Options {
-	if o == nil {
-		o = &Options{}
-	}
+// coreOptions maps the public options onto the engine's. The
+// wall-clock deadline is left zero: each Engine call computes its own
+// (see Limits.deadlineFor).
+func (o *Options) coreOptions() core.Options {
 	return core.Options{
 		MaxLHS:            o.MaxLHS,
 		NoInterRelation:   o.IntraOnly,
@@ -173,16 +174,12 @@ func (o *Options) coreOptions(deadline time.Time) core.Options {
 		Parallel:          o.Parallel,
 		MaxLatticeLevel:   o.Limits.MaxLatticeLevel,
 		MaxPartitionBytes: o.Limits.MaxPartitionBytes,
-		Deadline:          deadline,
 		Tracer:            o.Trace,
 		RelationHook:      o.RelationHook,
 	}
 }
 
 func (o *Options) relationOptions(deadline time.Time) relation.Options {
-	if o == nil {
-		o = &Options{}
-	}
 	return relation.Options{
 		OrderedSets:     o.OrderedSets,
 		DisableSetAttrs: o.NoSetElements,
@@ -190,53 +187,6 @@ func (o *Options) relationOptions(deadline time.Time) relation.Options {
 		Deadline:        deadline,
 		Parse:           o.Limits.parseLimits(),
 	}
-}
-
-// LoadDocument parses an XML document from r under the parser's
-// default limits. Use LoadDocumentContext for explicit limits or
-// cancellation.
-func LoadDocument(r io.Reader) (*Document, error) {
-	return datatree.ParseXML(r)
-}
-
-// LoadDocumentContext parses an XML document from r under the parse
-// limits of opts (MaxDepth, MaxNodes), checking ctx periodically.
-// Documents exceeding a parse limit fail fast with a "datatree:"
-// error — a deep-nesting or entity-bloat bomb never exhausts memory.
-func LoadDocumentContext(ctx context.Context, r io.Reader, opts *Options) (*Document, error) {
-	return NewEngine(opts).LoadDocument(ctx, r)
-}
-
-// LoadDocumentFile parses a document from a file, detecting the
-// format from the file extension (.xml, .json) or — when the
-// extension is not registered — from the first bytes of the content.
-// Unrecognized input fails with ErrUnknownFormat.
-func LoadDocumentFile(path string) (*Document, error) {
-	return LoadDocumentFileContext(context.Background(), path, nil)
-}
-
-// LoadDocumentFileContext is LoadDocumentFile with parse limits and
-// cancellation (see LoadDocumentContext).
-func LoadDocumentFileContext(ctx context.Context, path string, opts *Options) (*Document, error) {
-	return NewEngine(opts).LoadDocumentFile(ctx, path)
-}
-
-// LoadJSON parses a JSON document from r into the same data-tree
-// model as LoadDocument, so everything downstream — schema inference,
-// hierarchy construction, discovery — is format-agnostic. Arrays
-// become set elements (declared repeatable even with one member),
-// nested objects become singleton records, scalars become leaves with
-// their literal spelling preserved, and explicit null stays
-// distinguishable from a missing member. See internal/source/jsondoc
-// for the full mapping.
-func LoadJSON(r io.Reader) (*Document, error) {
-	return jsondoc.Parse(r)
-}
-
-// LoadJSONContext is LoadJSON with parse limits and cancellation (see
-// LoadDocumentContext).
-func LoadJSONContext(ctx context.Context, r io.Reader, opts *Options) (*Document, error) {
-	return NewEngine(opts).LoadJSON(ctx, r)
 }
 
 // ParseDocument parses an XML document from a string.
@@ -268,120 +218,13 @@ func Conform(doc *Document, s *Schema) error {
 	return datatree.Conform(doc, s)
 }
 
-// BuildHierarchy constructs the hierarchical representation of the
-// document (one relation per essential tuple class). Most callers
-// can use Discover directly; the hierarchy is exposed for Evaluate
-// and for inspecting tuple classes.
-func BuildHierarchy(doc *Document, s *Schema, opts *Options) (*Hierarchy, error) {
-	return BuildHierarchyContext(context.Background(), doc, s, opts)
-}
-
-// BuildHierarchyContext is BuildHierarchy with cancellation and
-// resource budgets: cancelling ctx aborts with an error, while
-// exhausting Limits.MaxTuples or Limits.Deadline stops ingestion
-// early and returns a consistent hierarchy marked truncated.
-func BuildHierarchyContext(ctx context.Context, doc *Document, s *Schema, opts *Options) (*Hierarchy, error) {
-	return NewEngine(opts).BuildHierarchy(ctx, doc, s)
-}
-
-// buildHierarchyAt carries the absolute deadline computed at whichever
-// public entry point owns the whole-call budget.
-func buildHierarchyAt(ctx context.Context, doc *Document, s *Schema, opts *Options, deadline time.Time) (*Hierarchy, error) {
-	if s == nil {
-		inferred, err := datatree.InferSchema(doc)
-		if err != nil {
-			return nil, err
-		}
-		s = inferred
-	} else if err := datatree.Conform(doc, s); err != nil {
-		// Surface a mismatched root as the typed sentinel so callers
-		// (and the CLI exit-code classification) can errors.As it;
-		// conformance reports it first, with an untyped error.
-		if doc != nil && doc.Root != nil && doc.Root.Label != s.Root {
-			return nil, &relation.RootMismatchError{What: "tree", Root: doc.Root.Label, SchemaRoot: s.Root}
-		}
-		return nil, err
-	}
-	return relation.BuildContext(ctx, doc, s, opts.relationOptions(deadline))
-}
-
-// BuildHierarchyStream constructs the hierarchical representation
-// directly from an XML stream without materializing the document:
-// memory stays proportional to the representation plus the largest
-// single root-child subtree. The schema is required (inference needs
-// the whole document). Streamed hierarchies drop node-level detail,
-// so discovery and Evaluate work identically but ApplyRefinement and
-// DetectAnomalies need the in-memory BuildHierarchy.
-func BuildHierarchyStream(r io.Reader, s *Schema, opts *Options) (*Hierarchy, error) {
-	return BuildHierarchyStreamContext(context.Background(), r, s, opts)
-}
-
-// BuildHierarchyStreamContext is BuildHierarchyStream with
-// cancellation and resource budgets (see BuildHierarchyContext; parse
-// limits apply to the stream as it is read).
-func BuildHierarchyStreamContext(ctx context.Context, r io.Reader, s *Schema, opts *Options) (*Hierarchy, error) {
-	return NewEngine(opts).BuildHierarchyStream(ctx, r, s)
-}
-
-func buildHierarchyStreamAt(ctx context.Context, r io.Reader, s *Schema, opts *Options, deadline time.Time) (*Hierarchy, error) {
-	if s == nil {
-		return nil, fmt.Errorf("discoverxfd: streaming requires an explicit schema")
-	}
-	return relation.BuildStreamContext(ctx, r, s, opts.relationOptions(deadline))
-}
-
-// DiscoverStream runs DiscoverXFD over an XML stream (see
-// BuildHierarchyStream).
-func DiscoverStream(r io.Reader, s *Schema, opts *Options) (*Result, error) {
-	return DiscoverStreamContext(context.Background(), r, s, opts)
-}
-
-// DiscoverStreamContext is DiscoverStream with cancellation and
-// resource budgets. The Limits.Deadline budget covers the whole call:
-// streaming ingestion and discovery share it.
-func DiscoverStreamContext(ctx context.Context, r io.Reader, s *Schema, opts *Options) (*Result, error) {
-	return NewEngine(opts).DiscoverStream(ctx, r, s)
-}
-
-// Discover runs DiscoverXFD on the document: it finds all minimal
-// interesting XML FDs and Keys and derives the redundancies the FDs
-// indicate. If s is nil the schema is inferred from the data; opts
-// may be nil for defaults.
+// Discover runs DiscoverXFD on the document with a one-shot Engine:
+// it finds all minimal interesting XML FDs and Keys and derives the
+// redundancies the FDs indicate. If s is nil the schema is inferred
+// from the data; opts may be nil for defaults. Discover is the one
+// convenience outside the Engine: for cancellation, repeated runs or
+// any other operation, construct an Engine with NewEngine and call
+// its methods.
 func Discover(doc *Document, s *Schema, opts *Options) (*Result, error) {
-	return DiscoverContext(context.Background(), doc, s, opts)
-}
-
-// DiscoverContext is Discover with cancellation and resource budgets.
-// Cancelling ctx aborts with an error; exhausting a Limits budget
-// (deadline, tuple cap, lattice cap) instead returns the partial
-// Result found so far with Stats.Truncated and Stats.TruncatedReason
-// set. The Limits.Deadline budget covers hierarchy construction and
-// discovery together.
-func DiscoverContext(ctx context.Context, doc *Document, s *Schema, opts *Options) (*Result, error) {
-	return NewEngine(opts).Discover(ctx, doc, s)
-}
-
-// DiscoverHierarchy runs DiscoverXFD on a prebuilt hierarchy.
-func DiscoverHierarchy(h *Hierarchy, opts *Options) (*Result, error) {
-	return DiscoverHierarchyContext(context.Background(), h, opts)
-}
-
-// DiscoverHierarchyContext is DiscoverHierarchy with cancellation and
-// resource budgets (see DiscoverContext).
-func DiscoverHierarchyContext(ctx context.Context, h *Hierarchy, opts *Options) (*Result, error) {
-	return NewEngine(opts).DiscoverHierarchy(ctx, h)
-}
-
-// Evaluate checks a single XML FD ⟨class, lhs, rhs⟩ directly against
-// a hierarchy, independent of discovery: whether it holds (strong
-// satisfaction), whether its LHS is a key, and how many redundant
-// values it witnesses.
-func Evaluate(h *Hierarchy, class Path, lhs []RelPath, rhs RelPath) (Evaluation, error) {
-	return EvaluateContext(context.Background(), h, class, lhs, rhs)
-}
-
-// EvaluateContext is Evaluate with cancellation, checked periodically
-// over the class's tuples.
-func EvaluateContext(ctx context.Context, h *Hierarchy, class Path, lhs []RelPath, rhs RelPath) (Evaluation, error) {
-	return NewEngine(nil).Evaluate(ctx, h, class, lhs, rhs)
+	return NewEngine(opts).Discover(context.Background(), doc, s)
 }

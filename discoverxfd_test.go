@@ -1,6 +1,7 @@
 package discoverxfd_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -101,11 +102,12 @@ func TestOptionsNoSetElements(t *testing.T) {
 
 func TestEvaluatePublic(t *testing.T) {
 	doc, _ := discoverxfd.ParseDocument(libraryXML)
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	eng := discoverxfd.NewEngine(nil)
+	h, err := eng.BuildHierarchy(context.Background(), doc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := discoverxfd.Evaluate(h, "/library/shelf/book",
+	ev, err := eng.Evaluate(context.Background(), h, "/library/shelf/book",
 		[]discoverxfd.RelPath{"./isbn"}, "./title")
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +137,7 @@ func TestWriteReport(t *testing.T) {
 }
 
 func TestLoadDocumentFileError(t *testing.T) {
-	if _, err := discoverxfd.LoadDocumentFile("/nonexistent/file.xml"); err == nil {
+	if _, err := discoverxfd.NewEngine(nil).LoadDocumentFile(context.Background(), "/nonexistent/file.xml"); err == nil {
 		t.Fatal("expected an error for a missing file")
 	}
 }
@@ -146,7 +148,7 @@ func TestDiscoverStreamFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := discoverxfd.DiscoverStream(strings.NewReader(libraryXML), s, nil)
+	res, err := discoverxfd.NewEngine(nil).DiscoverStream(context.Background(), strings.NewReader(libraryXML), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,7 @@ func TestDiscoverStreamFacade(t *testing.T) {
 		t.Fatalf("streamed discovery missed isbn -> title: %v", res.FDs)
 	}
 	// Streaming requires an explicit schema.
-	if _, err := discoverxfd.DiscoverStream(strings.NewReader(libraryXML), nil, nil); err == nil {
+	if _, err := discoverxfd.NewEngine(nil).DiscoverStream(context.Background(), strings.NewReader(libraryXML), nil); err == nil {
 		t.Fatal("nil schema must be rejected in streaming mode")
 	}
 }

@@ -9,31 +9,33 @@ import (
 
 	"discoverxfd/internal/core"
 	"discoverxfd/internal/datatree"
+	"discoverxfd/internal/relation"
 	"discoverxfd/internal/source"
 	"discoverxfd/internal/source/jsondoc"
 	"discoverxfd/internal/telemetry"
 	"discoverxfd/internal/trace"
 )
 
-// Engine is the reusable discovery engine behind every entrypoint in
-// this package: construct it once from an Options value and call its
-// methods from as many goroutines as you like. Each call runs an
-// isolated staged pipeline (plan → traverse → minimize → verify →
-// assemble; see internal/core), so concurrent calls never observe
-// each other's state. What an Engine does share across calls is a
-// warm layer of immutable partitions per hierarchy: repeated
-// discovery over the same *Hierarchy value reuses partitions computed
-// by earlier runs instead of rebuilding them (benchmark E14 measures
-// the effect), which is why long-lived services should hold one
-// Engine rather than calling the package-level wrappers in a loop.
+// Engine is the library's entry point: construct it once from an
+// Options value and call its methods from as many goroutines as you
+// like. Each call runs an isolated staged pipeline (plan → traverse →
+// minimize → verify → assemble; see internal/core), so concurrent
+// calls never observe each other's state. What an Engine does share
+// across calls is a warm layer of immutable partitions per hierarchy:
+// repeated discovery over the same *Hierarchy value reuses partitions
+// computed by earlier runs instead of rebuilding them (benchmark E14
+// measures the effect), which is why long-lived services should hold
+// one Engine rather than building a fresh one per call.
 //
-// Every package-level Discover*/Build*/Evaluate*/Check* function is a
-// thin wrapper that constructs a one-shot Engine, so the two styles
-// always compute identical results; only reuse differs.
+// The package-level Discover is the only shortcut around it: it runs
+// a one-shot Engine, so both compute identical results and only reuse
+// differs.
 //
-// Wall-clock budgets are per call: Options.Limits.Deadline is
-// relative, and each method converts it to an absolute deadline when
-// the call starts.
+// Cancelling the ctx passed to a method aborts the call with an
+// error; exhausting a Limits budget instead returns a partial answer
+// (see Limits). Wall-clock budgets are per call: Options.Limits.Deadline
+// is relative, and each method converts it to an absolute deadline
+// when the call starts.
 type Engine struct {
 	opts Options
 	core *core.Engine
@@ -47,7 +49,7 @@ func NewEngine(opts *Options) *Engine {
 	if opts != nil {
 		o = *opts
 	}
-	return &Engine{opts: o, core: core.NewEngine(o.coreOptions(time.Time{}))}
+	return &Engine{opts: o, core: core.NewEngine(o.coreOptions())}
 }
 
 // Options returns a copy of the engine's configuration.
@@ -73,60 +75,56 @@ func (e *Engine) PublishExpvar(name string) {
 
 // Discover runs DiscoverXFD on the document: it finds all minimal
 // interesting XML FDs and Keys and derives the redundancies the FDs
-// indicate (see the package-level DiscoverContext for the
-// cancellation and truncation contract). If s is nil the schema is
-// inferred from the data. The Limits.Deadline budget covers hierarchy
-// construction and discovery together.
+// indicate. If s is nil the schema is inferred from the data.
+// Cancelling ctx aborts with an error; exhausting a Limits budget
+// (deadline, tuple cap, lattice cap) instead returns the partial
+// Result found so far with Stats.Truncated and Stats.TruncatedReason
+// set. The Limits.Deadline budget covers hierarchy construction and
+// discovery together.
 func (e *Engine) Discover(ctx context.Context, doc *Document, s *Schema) (*Result, error) {
 	if err := e.opts.Limits.Validate(); err != nil {
 		return nil, err
 	}
 	deadline := e.opts.Limits.deadlineFor(ctx, time.Now())
-	h, err := buildHierarchyAt(ctx, doc, s, &e.opts, deadline)
+	h, err := e.buildAt(ctx, doc, s, deadline)
 	if err != nil {
 		return nil, err
 	}
-	return e.discoverAt(ctx, h, deadline)
+	return e.core.DiscoverAt(ctx, h, deadline)
 }
 
-// DiscoverHierarchy runs DiscoverXFD on a prebuilt hierarchy.
-// Repeated calls with the same *Hierarchy reuse the engine's warm
-// partitions — this is the engine-reuse fast path.
+// DiscoverHierarchy runs DiscoverXFD on a prebuilt hierarchy (see
+// Discover for the cancellation and truncation contract). Repeated
+// calls with the same *Hierarchy reuse the engine's warm partitions —
+// this is the engine-reuse fast path.
 func (e *Engine) DiscoverHierarchy(ctx context.Context, h *Hierarchy) (*Result, error) {
 	if err := e.opts.Limits.Validate(); err != nil {
 		return nil, err
 	}
-	return e.discoverAt(ctx, h, e.opts.Limits.deadlineFor(ctx, time.Now()))
+	return e.core.DiscoverAt(ctx, h, e.opts.Limits.deadlineFor(ctx, time.Now()))
 }
 
 // DiscoverStream runs DiscoverXFD over an XML stream without
-// materializing the document (see the package-level
-// BuildHierarchyStream for the streaming contract; the schema is
-// required).
+// materializing the document (see BuildHierarchyStream; the schema is
+// required). Streaming ingestion and discovery share the
+// Limits.Deadline budget.
 func (e *Engine) DiscoverStream(ctx context.Context, r io.Reader, s *Schema) (*Result, error) {
 	if err := e.opts.Limits.Validate(); err != nil {
 		return nil, err
 	}
 	deadline := e.opts.Limits.deadlineFor(ctx, time.Now())
-	h, err := buildHierarchyStreamAt(ctx, r, s, &e.opts, deadline)
+	h, err := e.buildStreamAt(ctx, r, s, deadline)
 	if err != nil {
 		return nil, err
-	}
-	return e.discoverAt(ctx, h, deadline)
-}
-
-// discoverAt routes one governed run into the core engine with the
-// call's absolute deadline.
-func (e *Engine) discoverAt(ctx context.Context, h *Hierarchy, deadline time.Time) (*Result, error) {
-	if e.opts.IntraOnly {
-		return e.core.DiscoverIntraAt(ctx, h, deadline)
 	}
 	return e.core.DiscoverAt(ctx, h, deadline)
 }
 
 // LoadDocument parses an XML document from r under the engine's parse
 // limits (Limits.MaxDepth, Limits.MaxNodes), checking ctx
-// periodically.
+// periodically. Documents exceeding a parse limit fail fast with a
+// "datatree:" error — a deep-nesting or entity-bloat bomb never
+// exhausts memory.
 func (e *Engine) LoadDocument(ctx context.Context, r io.Reader) (*Document, error) {
 	if err := e.opts.Limits.Validate(); err != nil {
 		return nil, err
@@ -190,27 +188,69 @@ func (e *Engine) LoadDocumentFileAs(ctx context.Context, path, format string) (*
 }
 
 // BuildHierarchy constructs the hierarchical representation of the
-// document under the engine's options (see the package-level
-// BuildHierarchyContext for the truncation contract).
+// document (one relation per essential tuple class) under the
+// engine's options. Most callers can use Discover directly; the
+// hierarchy is exposed for DiscoverHierarchy, Evaluate, ApplyUpdate
+// and for inspecting tuple classes. If s is nil the schema is
+// inferred. Cancelling ctx aborts with an error, while exhausting
+// Limits.MaxTuples or Limits.Deadline stops ingestion early and
+// returns a consistent hierarchy marked truncated.
 func (e *Engine) BuildHierarchy(ctx context.Context, doc *Document, s *Schema) (*Hierarchy, error) {
 	if err := e.opts.Limits.Validate(); err != nil {
 		return nil, err
 	}
-	return buildHierarchyAt(ctx, doc, s, &e.opts, e.opts.Limits.deadlineFor(ctx, time.Now()))
+	return e.buildAt(ctx, doc, s, e.opts.Limits.deadlineFor(ctx, time.Now()))
+}
+
+// buildAt builds the hierarchy under the absolute deadline of
+// whichever method owns the whole-call budget.
+func (e *Engine) buildAt(ctx context.Context, doc *Document, s *Schema, deadline time.Time) (*Hierarchy, error) {
+	if s == nil {
+		inferred, err := datatree.InferSchema(doc)
+		if err != nil {
+			return nil, err
+		}
+		s = inferred
+	} else if err := datatree.Conform(doc, s); err != nil {
+		// Surface a mismatched root as the typed sentinel so callers
+		// (and the CLI exit-code classification) can errors.As it;
+		// conformance reports it first, with an untyped error.
+		if doc != nil && doc.Root != nil && doc.Root.Label != s.Root {
+			return nil, &relation.RootMismatchError{What: "tree", Root: doc.Root.Label, SchemaRoot: s.Root}
+		}
+		return nil, err
+	}
+	return relation.BuildContext(ctx, doc, s, e.opts.relationOptions(deadline))
 }
 
 // BuildHierarchyStream constructs the hierarchical representation
-// directly from an XML stream (see the package-level
-// BuildHierarchyStreamContext; the schema is required).
+// directly from an XML stream without materializing the document:
+// memory stays proportional to the representation plus the largest
+// single root-child subtree, and parse limits apply to the stream as
+// it is read. The schema is required (inference needs the whole
+// document). Streamed hierarchies drop node-level detail, so
+// discovery and Evaluate work identically but ApplyRefinement,
+// DetectAnomalies and ApplyUpdate need the in-memory BuildHierarchy.
+// Budgets behave as in BuildHierarchy.
 func (e *Engine) BuildHierarchyStream(ctx context.Context, r io.Reader, s *Schema) (*Hierarchy, error) {
 	if err := e.opts.Limits.Validate(); err != nil {
 		return nil, err
 	}
-	return buildHierarchyStreamAt(ctx, r, s, &e.opts, e.opts.Limits.deadlineFor(ctx, time.Now()))
+	return e.buildStreamAt(ctx, r, s, e.opts.Limits.deadlineFor(ctx, time.Now()))
+}
+
+func (e *Engine) buildStreamAt(ctx context.Context, r io.Reader, s *Schema, deadline time.Time) (*Hierarchy, error) {
+	if s == nil {
+		return nil, fmt.Errorf("discoverxfd: streaming requires an explicit schema")
+	}
+	return relation.BuildStreamContext(ctx, r, s, e.opts.relationOptions(deadline))
 }
 
 // Evaluate checks a single XML FD ⟨class, lhs, rhs⟩ directly against
-// a hierarchy, independent of discovery.
+// a hierarchy, independent of discovery: whether it holds (strong
+// satisfaction), whether its LHS is a key, and how many redundant
+// values it witnesses. Cancellation is checked periodically over the
+// class's tuples.
 func (e *Engine) Evaluate(ctx context.Context, h *Hierarchy, class Path, lhs []RelPath, rhs RelPath) (Evaluation, error) {
 	return e.core.Evaluate(ctx, h, class, lhs, rhs)
 }
@@ -218,7 +258,7 @@ func (e *Engine) Evaluate(ctx context.Context, h *Hierarchy, class Path, lhs []R
 // CheckConstraints evaluates each parsed constraint against the
 // hierarchy, independent of discovery — the regression-testing
 // workflow: pin the constraints your data must satisfy and fail CI
-// when an update breaks one.
+// when an update breaks one. Cancellation is checked per constraint.
 func (e *Engine) CheckConstraints(ctx context.Context, h *Hierarchy, cs []Constraint) ([]CheckResult, error) {
 	out := make([]CheckResult, 0, len(cs))
 	for _, c := range cs {

@@ -34,9 +34,9 @@ func sameConstraints(a, b *discoverxfd.Result) error {
 }
 
 // TestEngineConcurrentDiscover drives one shared Engine from many
-// goroutines — mixed hierarchies, repeated runs over the same
-// hierarchy (the warm-partition fast path), and intra-only calls —
-// and checks every run reproduces its cold reference. Run under
+// goroutines — mixed hierarchies and repeated runs over the same
+// hierarchy (the warm-partition fast path) — and checks every run
+// reproduces its cold reference. Run under
 // -race, this is the engine's concurrency-safety gate (a dedicated CI
 // step exercises it).
 func TestEngineConcurrentDiscover(t *testing.T) {
@@ -55,11 +55,11 @@ func TestEngineConcurrentDiscover(t *testing.T) {
 	}
 
 	// Cold references from one-shot engines.
-	wantW, err := discoverxfd.DiscoverHierarchy(hw, opts)
+	wantW, err := discoverxfd.NewEngine(opts).DiscoverHierarchy(context.Background(), hw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantD, err := discoverxfd.DiscoverHierarchy(hd, opts)
+	wantD, err := discoverxfd.NewEngine(opts).DiscoverHierarchy(context.Background(), hd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +123,63 @@ func TestEngineReuseMatchesOneShot(t *testing.T) {
 	if second.Stats.RelationsReused != first.Stats.Relations {
 		t.Errorf("warm run reused %d of %d relations",
 			second.Stats.RelationsReused, first.Stats.Relations)
+	}
+}
+
+// TestEngineReuseMatchesOneShotIntraOnly pins the warm path of an
+// IntraOnly engine (DiscoverFD per relation): a repeat over the
+// untouched hierarchy replays every relation from the subtree memo and
+// returns the same constraints, and after an update the incremental
+// result equals a cold intra-only run over the mutated document.
+func TestEngineReuseMatchesOneShotIntraOnly(t *testing.T) {
+	ctx := context.Background()
+	ds := xmlgen.Warehouse(xmlgen.DefaultWarehouse())
+	opts := &discoverxfd.Options{IntraOnly: true}
+	eng := discoverxfd.NewEngine(opts)
+	h, err := eng.BuildHierarchy(ctx, ds.Tree, ds.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := eng.DiscoverHierarchy(ctx, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := eng.DiscoverHierarchy(ctx, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameConstraints(first, second); err != nil {
+		t.Fatal(err)
+	}
+	if second.Stats.RelationsReused != second.Stats.Relations {
+		t.Errorf("warm run reused %d of %d relations",
+			second.Stats.RelationsReused, second.Stats.Relations)
+	}
+
+	book := h.ByPivot("/warehouse/state/store/book")
+	if _, err := eng.ApplyUpdate(h, []discoverxfd.Update{
+		{Op: discoverxfd.OpSet, Class: book.Pivot, Key: book.Keys[0], Attr: "./title", Value: "Retitled"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	incr, err := eng.DiscoverHierarchy(ctx, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if incr.Stats.RelationsReused == 0 {
+		t.Error("incremental run replayed no untouched relation")
+	}
+	cold, err := discoverxfd.NewEngine(opts).Discover(ctx, ds.Tree, ds.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameConstraints(incr, cold); err != nil {
+		t.Fatalf("incremental intra-only run differs from cold: %v", err)
+	}
+	for _, fd := range incr.FDs {
+		if fd.Inter {
+			t.Errorf("intra-only discovery reported inter-relation FD %s", fd)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package discoverxfd_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,19 +37,21 @@ func ExampleDiscover() {
 	// {./isbn} -> ./title w.r.t. C(/library/shelf/book)  [1 redundant value(s) in 1 group(s)]
 }
 
-func ExampleEvaluate() {
+func ExampleEngine_Evaluate() {
+	ctx := context.Background()
+	eng := discoverxfd.NewEngine(nil)
 	doc, _ := discoverxfd.ParseDocument(`
 <lib>
   <b><isbn>1</isbn><a>X</a><a>Y</a></b>
   <b><isbn>1</isbn><a>Y</a><a>X</a></b>
   <b><isbn>2</isbn><a>Z</a></b>
 </lib>`)
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	h, err := eng.BuildHierarchy(ctx, doc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// ./a names the author SET: the reordered collections agree.
-	ev, err := discoverxfd.Evaluate(h, "/lib/b",
+	ev, err := eng.Evaluate(ctx, h, "/lib/b",
 		[]discoverxfd.RelPath{"./isbn"}, "./a")
 	if err != nil {
 		log.Fatal(err)
@@ -73,18 +76,20 @@ func ExampleParseConstraint() {
 	// false
 }
 
-func ExampleCheckConstraints() {
+func ExampleEngine_CheckConstraints() {
+	ctx := context.Background()
+	eng := discoverxfd.NewEngine(nil)
 	doc, _ := discoverxfd.ParseDocument(`
 <shop>
   <item><sku>1</sku><name>Pen</name></item>
   <item><sku>1</sku><name>Gel Pen</name></item>
 </shop>`)
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	h, err := eng.BuildHierarchy(ctx, doc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cs, _ := discoverxfd.ParseConstraints(`{./sku} -> ./name w.r.t. C(/shop/item)`)
-	results, err := discoverxfd.CheckConstraints(h, cs)
+	results, err := eng.CheckConstraints(ctx, h, cs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,17 +99,19 @@ func ExampleCheckConstraints() {
 }
 
 func ExampleSuggestRefinements() {
+	ctx := context.Background()
+	eng := discoverxfd.NewEngine(nil)
 	doc, _ := discoverxfd.ParseDocument(`
 <shop>
   <item><sku>1</sku><name>Pen</name></item>
   <item><sku>1</sku><name>Pen</name></item>
   <item><sku>2</sku><name>Pad</name></item>
 </shop>`)
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	h, err := eng.BuildHierarchy(ctx, doc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := discoverxfd.DiscoverHierarchy(h, nil)
+	res, err := eng.DiscoverHierarchy(ctx, h)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,6 +51,8 @@ warehouse: Rcd
 `
 
 func main() {
+	ctx := context.Background()
+	eng := discoverxfd.NewEngine(nil)
 	doc, err := discoverxfd.ParseDocument(v1)
 	if err != nil {
 		log.Fatal(err)
@@ -60,11 +63,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	h, err := discoverxfd.BuildHierarchy(doc, s, nil)
+	h, err := eng.BuildHierarchy(ctx, doc, s)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := discoverxfd.DiscoverHierarchy(h, nil)
+	res, err := eng.DiscoverHierarchy(ctx, h)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	h2, err := discoverxfd.BuildHierarchy(doc, s, nil)
+	h2, err := eng.BuildHierarchy(ctx, doc, s)
 	if err != nil {
 		log.Fatal(err)
 	}

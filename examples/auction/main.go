@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -17,15 +18,17 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+	eng := discoverxfd.NewEngine(nil)
 	fmt.Println("scale   nodes   tuples   FDs   keys   time      µs/tuple")
 	for _, factor := range []int{1, 2, 4, 8} {
 		ds := xmlgen.Auction(xmlgen.AuctionParams{Factor: factor, Seed: 4})
-		h, err := discoverxfd.BuildHierarchy(ds.Tree, ds.Schema, nil)
+		h, err := eng.BuildHierarchy(ctx, ds.Tree, ds.Schema)
 		if err != nil {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		res, err := discoverxfd.DiscoverHierarchy(h, nil)
+		res, err := eng.DiscoverHierarchy(ctx, h)
 		if err != nil {
 			log.Fatal(err)
 		}

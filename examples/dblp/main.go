@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -18,6 +19,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+	eng := discoverxfd.NewEngine(nil)
 	// Generate a deterministic DBLP-style bibliography whose paper
 	// pool is sampled with replacement — the classic duplicated-entry
 	// pathology of casually curated bibliographies.
@@ -40,12 +43,12 @@ func main() {
 
 	// 2. {./author, ./title} determines ./year but is NOT a key: the
 	// witness groups are duplicate entries.
-	h, err := discoverxfd.BuildHierarchy(doc, ds.Schema, nil)
+	h, err := eng.BuildHierarchy(ctx, doc, ds.Schema)
 	if err != nil {
 		log.Fatal(err)
 	}
 	lhs := []discoverxfd.RelPath{"./author", "./title"}
-	ev, err := discoverxfd.Evaluate(h, article, lhs, "./year")
+	ev, err := eng.Evaluate(ctx, h, article, lhs, "./year")
 	if err != nil {
 		log.Fatal(err)
 	}

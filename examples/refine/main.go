@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,15 +34,17 @@ const feed = `
 </feed>`
 
 func main() {
+	ctx := context.Background()
+	eng := discoverxfd.NewEngine(nil)
 	doc, err := discoverxfd.ParseDocument(feed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	h, err := eng.BuildHierarchy(ctx, doc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := discoverxfd.DiscoverHierarchy(h, nil)
+	res, err := eng.DiscoverHierarchy(ctx, h)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,11 +63,11 @@ func main() {
 	// hierarchy after each (the document and schema change).
 	applied := 0
 	for {
-		h, err = discoverxfd.BuildHierarchy(doc, nil, nil)
+		h, err = eng.BuildHierarchy(ctx, doc, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err = discoverxfd.DiscoverHierarchy(h, nil)
+		res, err = eng.DiscoverHierarchy(ctx, h)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -19,6 +20,8 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+	eng := discoverxfd.NewEngine(nil)
 	// A larger auction document, serialized once so both paths read
 	// identical bytes.
 	ds := xmlgen.Auction(xmlgen.AuctionParams{Factor: 16, Seed: 4})
@@ -56,7 +59,7 @@ func main() {
 		return discoverxfd.Discover(doc, ds.Schema, nil)
 	})
 	str := run("streamed", func() (*discoverxfd.Result, error) {
-		return discoverxfd.DiscoverStream(newSlowReader(xml), ds.Schema, nil)
+		return eng.DiscoverStream(ctx, newSlowReader(xml), ds.Schema)
 	})
 
 	fmt.Printf("%-10s %6s %6s %10s %12s\n", "mode", "FDs", "keys", "time", "allocated")

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -60,6 +61,8 @@ const warehouseDoc = `
 </warehouse>`
 
 func main() {
+	ctx := context.Background()
+	eng := discoverxfd.NewEngine(nil)
 	doc, err := discoverxfd.ParseDocument(warehouseDoc)
 	if err != nil {
 		log.Fatal(err)
@@ -100,11 +103,11 @@ func main() {
 	// elements: the WHSmith copy of ISBN 0072465638 has no price, yet
 	// the constraint holds because no other WHSmith book shares that
 	// ISBN. The plain intra-relation {./ISBN} -> ./price is violated.
-	h, err := discoverxfd.BuildHierarchy(doc, nil, nil)
+	h, err := eng.BuildHierarchy(ctx, doc, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ev, err := discoverxfd.Evaluate(h, book, []discoverxfd.RelPath{"./ISBN"}, "./price")
+	ev, err := eng.Evaluate(ctx, h, book, []discoverxfd.RelPath{"./ISBN"}, "./price")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func FuzzLoadJSON(f *testing.F) {
 	f.Add(`not json`)
 	f.Fuzz(func(t *testing.T, text string) {
 		opts := &discoverxfd.Options{Limits: discoverxfd.Limits{MaxDepth: 64, MaxNodes: 4096}}
-		doc, err := discoverxfd.LoadJSONContext(t.Context(), strings.NewReader(text), opts)
+		doc, err := discoverxfd.NewEngine(opts).LoadJSON(t.Context(), strings.NewReader(text))
 		if err != nil {
 			return
 		}

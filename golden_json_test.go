@@ -2,6 +2,7 @@ package discoverxfd_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -51,7 +52,7 @@ func TestJSONTwinGolden(t *testing.T) {
 
 	// The JSON front-end must reconstruct the XML-generated tree
 	// exactly — labels, values, document order.
-	doc, err := discoverxfd.LoadJSON(bytes.NewReader(committed))
+	doc, err := discoverxfd.NewEngine(nil).LoadJSON(context.Background(), bytes.NewReader(committed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,9 @@ import (
 //   - No context.Background()/context.TODO() in library code. The
 //     sanctioned shapes are the compatibility shims: a function with
 //     no ctx parameter handing Background straight to its ...Context
-//     sibling (e.g. Discover → DiscoverContext(context.Background(),
-//     ...)) or to a method on an Engine value (e.g. CheckConstraints →
-//     NewEngine(nil).CheckConstraints(context.Background(), ...)) —
+//     sibling (e.g. Evaluate → evaluateContext(context.Background(),
+//     ...)) or to a method on an Engine value (e.g. Discover →
+//     NewEngine(opts).Discover(context.Background(), ...)) —
 //     engine methods take ctx as their first parameter by convention,
 //     so they are the ...Context variants of the engine API. A
 //     function that already receives a ctx and still calls Background

@@ -10,8 +10,8 @@ import (
 	"discoverxfd/internal/schema"
 )
 
-// Engine is a reusable discovery engine: construct it once from an
-// Options value and call Discover / DiscoverIntra / Evaluate from as
+// Engine is the discovery entry point: construct it once from an
+// Options value and call Discover / Evaluate / ApplyUpdate from as
 // many goroutines as you like. Each call builds its own Run (governor,
 // partition cache, stats — see run.go), so concurrent calls are fully
 // isolated; the only state an Engine shares across runs is a warm
@@ -34,10 +34,12 @@ type Engine struct {
 	mu   sync.Mutex
 	warm []*warmHierarchy // guarded by mu
 
-	// met is the engine's cumulative run instrumentation (see
-	// Metrics); all of its methods are nil-engine safe, so the legacy
-	// one-shot wrappers (which run with a nil *Engine) need no guards.
-	met engineMetrics
+	// met is the engine's cumulative run instrumentation, updated in
+	// place at run, evaluation and update boundaries and copied out by
+	// Metrics. Its own mutex keeps counter updates off the warm-layer
+	// lock.
+	metMu sync.Mutex
+	met   Metrics // guarded by metMu
 }
 
 // warmHierarchy is the retained partition set of one hierarchy. The
@@ -65,8 +67,11 @@ type warmHierarchy struct {
 // outs and the null tables are immutable after publish. dirty is
 // written only by ApplyUpdate under the hierarchy's writer lock and
 // read by runs under the reader lock, so the two never race.
+//
+// A memo is replayed only by the engine that built it, whose options —
+// the discovery mode (Options.NoInterRelation) included — are fixed, so
+// cached outputs always have the shape the replaying run would compute.
 type subtreeMemo struct {
-	xfd   bool          // Discover (true) vs DiscoverIntra outputs
 	outs  []*memoOutput // by Relation.Index; nil for non-essential or skipped
 	dirty []bool        // by Relation.Index; set when an update touches the relation
 
@@ -115,9 +120,9 @@ type memoOutput struct {
 const engineWarmHierarchies = 4
 
 // NewEngine returns an Engine that runs every call with the given
-// options. The zero Options value is valid (it is DiscoverFD-style
-// discovery without partial propagation); callers porting from the
-// legacy Discover wrappers keep passing the same Options.
+// options. The zero Options value is valid (it is DiscoverXFD without
+// partial propagation); NoInterRelation selects DiscoverFD (Figure 8)
+// per relation.
 func NewEngine(opts Options) *Engine {
 	return &Engine{opts: opts}
 }
@@ -125,10 +130,15 @@ func NewEngine(opts Options) *Engine {
 // Options returns a copy of the engine's configuration.
 func (e *Engine) Options() Options { return e.opts }
 
-// Discover runs the DiscoverXFD pipeline over the hierarchy (see
-// DiscoverContext for the cancellation and truncation contract).
+// Discover runs the discovery pipeline over the hierarchy: DiscoverXFD
+// (Figure 9), or DiscoverFD (Figure 8) per relation when
+// Options.NoInterRelation is set. The context is checked periodically
+// in the lattice hot loops; cancellation aborts with an error. Budget
+// exhaustion (Options.Deadline, Options.MaxLatticeLevel, or a
+// truncated input hierarchy) instead degrades gracefully: the partial
+// Result found so far is returned with Stats.Truncated set.
 func (e *Engine) Discover(ctx context.Context, h *relation.Hierarchy) (*Result, error) {
-	return e.discover(ctx, h, e.opts, !e.opts.NoInterRelation)
+	return e.discover(ctx, h, e.opts)
 }
 
 // DiscoverAt is Discover with a per-call wall-clock deadline,
@@ -138,54 +148,35 @@ func (e *Engine) Discover(ctx context.Context, h *relation.Hierarchy) (*Result, 
 func (e *Engine) DiscoverAt(ctx context.Context, h *relation.Hierarchy, deadline time.Time) (*Result, error) {
 	opts := e.opts
 	opts.Deadline = deadline
-	return e.discover(ctx, h, opts, !opts.NoInterRelation)
-}
-
-// DiscoverIntra runs DiscoverFD (Figure 8) independently on each
-// essential relation: only intra-relation FDs and Keys are found,
-// whatever the engine's NoInterRelation setting.
-func (e *Engine) DiscoverIntra(ctx context.Context, h *relation.Hierarchy) (*Result, error) {
-	opts := e.opts
-	opts.NoInterRelation = true
-	return e.discover(ctx, h, opts, false)
-}
-
-// DiscoverIntraAt is DiscoverIntra with a per-call deadline (see
-// DiscoverAt).
-func (e *Engine) DiscoverIntraAt(ctx context.Context, h *relation.Hierarchy, deadline time.Time) (*Result, error) {
-	opts := e.opts
-	opts.NoInterRelation = true
-	opts.Deadline = deadline
-	return e.discover(ctx, h, opts, false)
+	return e.discover(ctx, h, opts)
 }
 
 // Evaluate checks a single XML FD directly against a hierarchy,
-// independent of discovery (see EvaluateContext). The hierarchy's
-// reader lock is held for the duration, serializing against
-// ApplyUpdate; the package-level EvaluateContext itself does not lock
-// (discovery's FD verification calls it under discover's reader lock,
-// and read locks do not nest safely with a writer waiting).
+// independent of discovery, with cancellation checked periodically
+// over the class's tuples. The hierarchy's reader lock is held for the
+// duration, serializing against ApplyUpdate; evaluateContext itself
+// does not lock (discovery's FD verification calls it under discover's
+// reader lock, and read locks do not nest safely with a writer
+// waiting).
 func (e *Engine) Evaluate(ctx context.Context, h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath, rhs schema.RelPath) (Evaluation, error) {
 	e.evaluated()
 	h.RLock()
 	defer h.RUnlock()
-	return EvaluateContext(ctx, h, class, lhs, rhs)
+	return evaluateContext(ctx, h, class, lhs, rhs)
 }
 
 // discover executes one run through the staged pipeline, wrapped in
-// the engine's warm-partition layer. A nil receiver is valid and
-// simply runs cold (no sharing), which is what the legacy one-shot
-// wrappers use.
-func (e *Engine) discover(ctx context.Context, h *relation.Hierarchy, opts Options, xfd bool) (*Result, error) {
+// the engine's warm-partition layer.
+func (e *Engine) discover(ctx context.Context, h *relation.Hierarchy, opts Options) (*Result, error) {
 	e.runStarted()
-	run := newRun(ctx, h, opts, xfd)
+	run := newRun(ctx, h, opts)
 	// Hold the hierarchy's reader lock across seed, execute, AND
 	// publish: publishing inside the critical section is what keeps a
 	// finishing run from installing pre-update partitions over a warm
 	// entry ApplyUpdate just patched.
 	h.RLock()
 	defer h.RUnlock()
-	share := e != nil && !opts.NaivePartitions
+	share := !opts.NaivePartitions
 	if share {
 		if warm, memo := e.warmFor(h); warm != nil {
 			run.cache.seed(warm)

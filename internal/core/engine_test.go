@@ -96,29 +96,6 @@ func TestEngineNaiveStaysCold(t *testing.T) {
 	}
 }
 
-// TestEngineIntraMatchesWrapper pins Engine.DiscoverIntra to the
-// legacy DiscoverIntra wrapper.
-func TestEngineIntraMatchesWrapper(t *testing.T) {
-	h := buildWarehouse(t, relation.Options{})
-	opts := Options{PropagatePartial: true}
-	want, err := DiscoverIntra(h, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewEngine(opts).DiscoverIntra(context.Background(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fdStrings(want), fdStrings(got)) {
-		t.Fatalf("engine intra differs from wrapper:\n%v\n%v", fdStrings(want), fdStrings(got))
-	}
-	for _, fd := range got.FDs {
-		if fd.Inter {
-			t.Errorf("intra-only discovery reported inter-relation FD %s", fd)
-		}
-	}
-}
-
 // TestRunPlanRejectsBadIndex guards the Relation.Index invariant the
 // per-run slices depend on: a hierarchy whose relations were not laid
 // out by relation.Build fails plan with a clear error rather than

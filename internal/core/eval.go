@@ -81,16 +81,16 @@ func resolveRef(h *relation.Hierarchy, origin *relation.Relation, rp schema.RelP
 // parent links for ancestor paths) and comparing RHS codes within
 // LHS-equal groups.
 func Evaluate(h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath, rhs schema.RelPath) (Evaluation, error) {
-	return EvaluateContext(context.Background(), h, class, lhs, rhs)
+	return evaluateContext(context.Background(), h, class, lhs, rhs)
 }
 
 // evalCheckInterval is how many tuples are processed between context
-// checks in EvaluateContext.
+// checks in evaluateContext.
 const evalCheckInterval = 4096
 
-// EvaluateContext is Evaluate with cancellation, checked periodically
+// evaluateContext is Evaluate with cancellation, checked periodically
 // over the class's tuples.
-func EvaluateContext(ctx context.Context, h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath, rhs schema.RelPath) (Evaluation, error) {
+func evaluateContext(ctx context.Context, h *relation.Hierarchy, class schema.Path, lhs []schema.RelPath, rhs schema.RelPath) (Evaluation, error) {
 	origin := h.ByPivot(class)
 	if origin == nil {
 		return Evaluation{}, fmt.Errorf("core: no tuple class with pivot %s", class)

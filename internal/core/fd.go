@@ -289,7 +289,7 @@ type Options struct {
 	// traversal stops and Discover returns the partial Result found so
 	// far with Stats.Truncated set — graceful degradation, not an
 	// error. Cancellation (an error) comes from the context passed to
-	// DiscoverContext instead.
+	// Engine.Discover instead.
 	Deadline time.Time
 	// RelationHook, if non-nil, is invoked at the start of each
 	// essential relation's lattice traversal with the relation's pivot

@@ -97,7 +97,7 @@ func TestCancelledContextIsAnError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, parallel := range []bool{false, true} {
-		res, err := DiscoverContext(ctx, h, Options{PropagatePartial: true, Parallel: parallel})
+		res, err := NewEngine(Options{PropagatePartial: true, Parallel: parallel}).Discover(ctx, h)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("parallel=%v: err = %v, want context.Canceled", parallel, err)
 		}
@@ -187,11 +187,11 @@ func TestUnfiredGovernorIsByteIdentical(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	governed, err := DiscoverContext(ctx, h, Options{
+	governed, err := NewEngine(Options{
 		PropagatePartial: true,
 		ApproxError:      0.05,
 		Deadline:         time.Now().Add(time.Hour),
-	})
+	}).Discover(ctx, h)
 	if err != nil {
 		t.Fatal(err)
 	}

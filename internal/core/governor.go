@@ -39,10 +39,6 @@ type governor struct {
 }
 
 func newGovernor(ctx context.Context, opts *Options) *governor {
-	if ctx == nil {
-		//lint:ctxplumb a nil ctx marks a legacy ungoverned entry point; Background is its documented never-cancelled default
-		ctx = context.Background()
-	}
 	return &governor{ctx: ctx, deadline: opts.Deadline, tr: opts.Tracer}
 }
 
@@ -59,7 +55,7 @@ func newGovernor(ctx context.Context, opts *Options) *governor {
 // versus error) would depend on which poll site ran first. Explicit
 // cancellation (context.Canceled) always aborts with an error.
 func (g *governor) cancelled() error {
-	if g == nil || g.ctx == nil {
+	if g == nil {
 		return nil
 	}
 	select {

@@ -65,16 +65,14 @@ func (lr *latticeRun) close() {
 	lr.sc = nil
 }
 
-// run executes the traversal. xfd selects DiscoverXFD behaviour
-// (candidateLHS2, target handling); with xfd false it is exactly
-// DiscoverFD of Figure 8.
-func (lr *latticeRun) run(xfd bool) {
+// run executes the traversal: DiscoverXFD behaviour (candidateLHS2,
+// partition targets) by default, exactly DiscoverFD of Figure 8 when
+// Options.NoInterRelation turns targets off.
+func (lr *latticeRun) run() {
 	rel := lr.rel
+	targets := !lr.opts.NoInterRelation
 	n := rel.NRows()
 	m := rel.NAttrs()
-	if lr.cache == nil {
-		lr.cache = newPartitionCache(lr.opts.MaxPartitionBytes)
-	}
 	lr.pc = lr.cache.store(rel)
 	lr.sc = partition.GetScratch(n)
 
@@ -87,7 +85,7 @@ func (lr *latticeRun) run(xfd bool) {
 	// Pure conversions of incoming targets (Figure 9 lines 8–10):
 	// every target is offered to the parent unchanged, so ancestors
 	// alone may complete it.
-	if xfd && rel.Parent != nil {
+	if targets && rel.Parent != nil {
 		ts := time.Now()
 		for _, pt := range lr.incoming {
 			if len(lr.out.outgoing) >= lr.opts.maxTargets() {
@@ -111,7 +109,7 @@ func (lr *latticeRun) run(xfd bool) {
 	// The empty attribute set can itself be a candidate partial Key:
 	// if every parent has at most one tuple here, ancestor attributes
 	// alone may identify the tuples of this class.
-	if xfd && rel.Parent != nil && !lr.opts.NoInterRelation {
+	if targets && rel.Parent != nil {
 		ts := time.Now()
 		if pt := createKeyTarget(rel, 0, lr.getPartition(0), lr.ni, lr.opts, lr.stats); pt != nil {
 			lr.out.outgoing = append(lr.out.outgoing, pt)
@@ -161,14 +159,14 @@ func (lr *latticeRun) run(xfd bool) {
 				lr.emitLevel(tr, level, &snap)
 			}
 			level = sz
-			lr.precomputeLevel(queue[qi:], xfd)
+			lr.precomputeLevel(queue[qi:])
 			if lr.err != nil {
 				break
 			}
 		}
 		lr.stats.NodesVisited++
 
-		ls := lr.candidateLHS(a, xfd)
+		ls := lr.candidateLHS(a)
 		if len(ls) == 0 && a.Size() > 1 {
 			continue
 		}
@@ -177,7 +175,7 @@ func (lr *latticeRun) run(xfd bool) {
 		if pa.IsKey() && !lr.opts.DisableKeyPruning {
 			lr.keys = append(lr.keys, a)
 			lr.out.intraKeys = append(lr.out.intraKeys, a)
-			if xfd {
+			if targets {
 				// Figure 9 lines 18–25: a key separates every
 				// distinct pair, so every target is satisfied at this
 				// node (degenerate pairs still need a null).
@@ -200,12 +198,12 @@ func (lr *latticeRun) run(xfd bool) {
 				lr.out.intraFDs = append(lr.out.intraFDs, edge{lhs: al, rhs: r})
 			}
 		}
-		if xfd {
+		if targets {
 			// Failed edges seed candidate partial FDs; a itself seeds
 			// a candidate partial Key (it is not a key here, but
 			// ancestor attributes could complete it).
 			lr.seedTargets(a, pa, ls)
-			if rel.Parent != nil && !lr.opts.NoInterRelation {
+			if rel.Parent != nil {
 				ts := time.Now()
 				if len(lr.out.outgoing) < lr.opts.maxTargets() {
 					if pt := createKeyTarget(rel, a, pa, lr.ni, lr.opts, lr.stats); pt != nil {
@@ -218,7 +216,7 @@ func (lr *latticeRun) run(xfd bool) {
 			}
 		}
 
-		if xfd && len(lr.incoming) > 0 {
+		if targets && len(lr.incoming) > 0 {
 			lr.checkTargets(a, lr.groupIDs(a), lr.nullsFor(a))
 		}
 
@@ -285,7 +283,7 @@ func (lr *latticeRun) emitLevel(tr trace.Tracer, level int, snap *levelSnapshot)
 // seedTargets creates candidate-partial-FD targets from the failed
 // edges into node a (Figure 9 lines 34–37).
 func (lr *latticeRun) seedTargets(a AttrSet, pa *partition.Partition, ls []AttrSet) {
-	if lr.rel.Parent == nil || lr.opts.NoInterRelation {
+	if lr.rel.Parent == nil {
 		return
 	}
 	ts := time.Now()
@@ -351,11 +349,13 @@ func (lr *latticeRun) checkTargets(a AttrSet, gids []int32, nulls []bool) {
 	}
 }
 
-// candidateLHS implements Figure 8's candidateLHS (pruning rules 1
-// and 2) and, for xfd mode, candidateLHS2 (rule 1 only — rule 2 must
-// not suppress edges whose failures seed partition targets).
-func (lr *latticeRun) candidateLHS(a AttrSet, xfd bool) []AttrSet {
+// candidateLHS implements Figure 9's candidateLHS2 (pruning rule 1
+// only — rule 2 must not suppress edges whose failures seed partition
+// targets), or Figure 8's candidateLHS (rules 1 and 2) when
+// Options.NoInterRelation is set.
+func (lr *latticeRun) candidateLHS(a AttrSet) []AttrSet {
 	out := make([]AttrSet, 0, a.Size())
+	intraOnly := lr.opts.NoInterRelation
 	for _, i := range a.Attrs() {
 		al := a.Without(i)
 		if lr.opts.DisableFDPruning {
@@ -372,7 +372,7 @@ func (lr *latticeRun) candidateLHS(a AttrSet, xfd bool) []AttrSet {
 			// Rule 2 (intra-only): X → A satisfied removes edge
 			// (XYA, XYAB): an LHS containing both X and A is
 			// non-minimal.
-			if !xfd && al.Has(fd.rhs) && al.Without(fd.rhs).Contains(fd.lhs) {
+			if intraOnly && al.Has(fd.rhs) && al.Without(fd.rhs).Contains(fd.lhs) {
 				skip = true
 				break
 			}
@@ -406,7 +406,7 @@ const (
 // partition is ever built — so the cache ends up with exactly the
 // entries the serial run produces and discovery output (including the
 // approximate pass, which scans the cache) is bit-identical.
-func (lr *latticeRun) precomputeLevel(pending []AttrSet, xfd bool) {
+func (lr *latticeRun) precomputeLevel(pending []AttrSet) {
 	if !lr.opts.Parallel || lr.opts.NaivePartitions {
 		return
 	}
@@ -420,7 +420,7 @@ func (lr *latticeRun) precomputeLevel(pending []AttrSet, xfd bool) {
 		if _, ok := lr.pc.parts[a]; ok {
 			continue
 		}
-		if len(lr.candidateLHS(a, xfd)) == 0 && size > 1 {
+		if len(lr.candidateLHS(a)) == 0 && size > 1 {
 			continue
 		}
 		work = append(work, a)

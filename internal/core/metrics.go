@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"discoverxfd/internal/relation"
-)
+import "discoverxfd/internal/relation"
 
 // Metrics is a point-in-time snapshot of an Engine's cumulative
 // counters, taken with Engine.Metrics. Counters cover every run the
@@ -48,97 +44,63 @@ type Metrics struct {
 	Totals Stats
 }
 
-// engineMetrics is the Engine's live counter state. The hot counters
-// are atomics so concurrent runs never contend; the Stats accumulator
-// is mutex-guarded and touched once per finished run.
-type engineMetrics struct {
-	mu                  sync.Mutex
-	runsStarted         int64 // guarded by mu
-	runsFinished        int64 // guarded by mu
-	runsTruncated       int64 // guarded by mu
-	runsFailed          int64 // guarded by mu
-	warmSeeded          int64 // guarded by mu
-	evaluations         int64 // guarded by mu
-	updatesApplied      int64 // guarded by mu
-	updateOps           int64 // guarded by mu
-	updatesFailed       int64 // guarded by mu
-	partitionsPatched   int64 // guarded by mu
-	partitionsKept      int64 // guarded by mu
-	partitionsDropped   int64 // guarded by mu
-	cacheHighWaterBytes int64 // guarded by mu
-	totals              Stats // guarded by mu
-}
-
 // runStarted records a discovery run entering the pipeline.
 func (e *Engine) runStarted() {
-	if e == nil {
-		return
-	}
-	e.met.mu.Lock()
-	e.met.runsStarted++
-	e.met.mu.Unlock()
+	e.metMu.Lock()
+	e.met.RunsStarted++
+	e.metMu.Unlock()
 }
 
-// warmSeeded records a run seeded from the warm layer.
+// warmSeededRun records a run seeded from the warm layer.
 func (e *Engine) warmSeededRun() {
-	if e == nil {
-		return
-	}
-	e.met.mu.Lock()
-	e.met.warmSeeded++
-	e.met.mu.Unlock()
+	e.metMu.Lock()
+	e.met.WarmSeeded++
+	e.metMu.Unlock()
 }
 
 // evaluated records one direct FD evaluation.
 func (e *Engine) evaluated() {
-	if e == nil {
-		return
-	}
-	e.met.mu.Lock()
-	e.met.evaluations++
-	e.met.mu.Unlock()
+	e.metMu.Lock()
+	e.met.Evaluations++
+	e.metMu.Unlock()
 }
 
 // updateDone folds one ApplyUpdate batch into the counters.
 func (e *Engine) updateDone(cs *relation.Changeset, err error, pr []patchReport) {
-	if e == nil {
-		return
-	}
-	e.met.mu.Lock()
-	defer e.met.mu.Unlock()
+	e.metMu.Lock()
+	defer e.metMu.Unlock()
+	m := &e.met
 	if err != nil {
-		e.met.updatesFailed++
+		m.UpdatesFailed++
 		return
 	}
-	e.met.updatesApplied++
-	e.met.updateOps += int64(cs.Ops())
+	m.UpdatesApplied++
+	m.UpdateOps += int64(cs.Ops())
 	for _, rep := range pr {
-		e.met.partitionsPatched += int64(rep.patched)
-		e.met.partitionsKept += int64(rep.kept)
-		e.met.partitionsDropped += int64(rep.dropped)
+		m.PartitionsPatched += int64(rep.patched)
+		m.PartitionsKept += int64(rep.kept)
+		m.PartitionsDropped += int64(rep.dropped)
 	}
 }
 
 // runDone folds a finished (or failed) run into the counters.
 func (e *Engine) runDone(res *Result, err error) {
-	if e == nil {
-		return
-	}
-	e.met.mu.Lock()
-	defer e.met.mu.Unlock()
+	e.metMu.Lock()
+	defer e.metMu.Unlock()
+	m := &e.met
 	if err != nil || res == nil {
-		e.met.runsFailed++
+		m.RunsFailed++
 		return
 	}
-	e.met.runsFinished++
+	m.RunsFinished++
 	st := &res.Stats
 	if st.Truncated {
-		e.met.runsTruncated++
+		m.RunsTruncated++
 	}
-	if st.PartitionCachePeakBytes > e.met.cacheHighWaterBytes {
-		e.met.cacheHighWaterBytes = st.PartitionCachePeakBytes
+	if st.PartitionCachePeakBytes > m.CacheHighWaterBytes {
+		m.CacheHighWaterBytes = st.PartitionCachePeakBytes
 	}
-	t := &e.met.totals
+	t := &m.Totals
 	mergeStats(t, st)
 	t.WallTime += st.WallTime
 	t.PartitionCacheHits += st.PartitionCacheHits
@@ -150,28 +112,9 @@ func (e *Engine) runDone(res *Result, err error) {
 }
 
 // Metrics returns a snapshot of the engine's cumulative counters. Safe
-// for concurrent use with running discoveries; a nil engine reports
-// zeroes.
+// for concurrent use with running discoveries.
 func (e *Engine) Metrics() Metrics {
-	var m Metrics
-	if e == nil {
-		return m
-	}
-	e.met.mu.Lock()
-	defer e.met.mu.Unlock()
-	m.RunsStarted = e.met.runsStarted
-	m.RunsFinished = e.met.runsFinished
-	m.RunsTruncated = e.met.runsTruncated
-	m.RunsFailed = e.met.runsFailed
-	m.WarmSeeded = e.met.warmSeeded
-	m.Evaluations = e.met.evaluations
-	m.UpdatesApplied = e.met.updatesApplied
-	m.UpdateOps = e.met.updateOps
-	m.UpdatesFailed = e.met.updatesFailed
-	m.PartitionsPatched = e.met.partitionsPatched
-	m.PartitionsKept = e.met.partitionsKept
-	m.PartitionsDropped = e.met.partitionsDropped
-	m.CacheHighWaterBytes = e.met.cacheHighWaterBytes
-	m.Totals = e.met.totals
-	return m
+	e.metMu.Lock()
+	defer e.metMu.Unlock()
+	return e.met
 }

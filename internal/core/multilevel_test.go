@@ -190,11 +190,11 @@ func TestPruningAblationPreservesFDs(t *testing.T) {
 	}
 }
 
-// TestIntraOnlySkipsInterFDs checks DiscoverIntra finds no
-// inter-relation results.
+// TestIntraOnlySkipsInterFDs checks NoInterRelation discovery
+// (DiscoverFD per relation) finds no inter-relation results.
 func TestIntraOnlySkipsInterFDs(t *testing.T) {
 	h := buildThreeLevel(t)
-	res, err := DiscoverIntra(h, Options{})
+	res, err := Discover(h, Options{NoInterRelation: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 // Relations wider than 64 attributes are rejected (the bitset
 // lattice's limit).
 func DiscoverRelation(rel *relation.Relation, opts Options) ([]FD, []Key, Stats, error) {
+	opts.NoInterRelation = true
 	var stats Stats
 	if err := checkWidth(rel); err != nil {
 		return nil, nil, stats, err
@@ -21,7 +22,7 @@ func DiscoverRelation(rel *relation.Relation, opts Options) ([]FD, []Key, Stats,
 	stats.Tuples = rel.NRows()
 	cache := newPartitionCache(opts.MaxPartitionBytes)
 	lr := &latticeRun{rel: rel, opts: &opts, stats: &stats, cache: cache}
-	lr.run(false)
+	lr.run()
 	cache.retire(lr.pc)
 	lr.close()
 	cache.flushStats(&stats)

@@ -18,10 +18,10 @@ import (
 // the run-wide partition cache, the Stats record being accumulated,
 // and the relation-indexed depth and null-row tables the traversal
 // and the partition targets consult. One Run is created per
-// Engine.Discover call (or per legacy Discover* wrapper), used on
-// however many goroutines the governed traversal spawns, and
-// discarded; nothing in it is shared across runs except the immutable
-// partitions the owning Engine chooses to carry over.
+// Engine.Discover call, used on however many goroutines the governed
+// traversal spawns, and discarded; nothing in it is shared across runs
+// except the immutable partitions the owning Engine chooses to carry
+// over.
 //
 // A run executes as a fixed pipeline of named stages (see execute):
 //
@@ -33,7 +33,6 @@ import (
 type Run struct {
 	h    *relation.Hierarchy
 	opts Options
-	xfd  bool
 
 	gov   *governor
 	cache *partitionCache
@@ -72,9 +71,8 @@ type Run struct {
 // to demultiplex concurrent runs sharing one tracer.
 var runSeq atomic.Int64
 
-// newRun assembles the per-run state. ctx may be nil (legacy
-// ungoverned entry points); the governor normalizes it.
-func newRun(ctx context.Context, h *relation.Hierarchy, opts Options, xfd bool) *Run {
+// newRun assembles the per-run state.
+func newRun(ctx context.Context, h *relation.Hierarchy, opts Options) *Run {
 	id := "run-" + strconv.FormatInt(runSeq.Add(1), 10)
 	// Stamp the tracer once so every emit site below — including the
 	// governor's and the lattice's — carries the run id for free.
@@ -82,7 +80,6 @@ func newRun(ctx context.Context, h *relation.Hierarchy, opts Options, xfd bool) 
 	return &Run{
 		h:     h,
 		opts:  opts,
-		xfd:   xfd,
 		id:    id,
 		tr:    opts.Tracer,
 		gov:   newGovernor(ctx, &opts),
@@ -245,7 +242,7 @@ func (run *Run) plan() error {
 // chain's complex columns.
 func (run *Run) planReuse() {
 	m := run.memo
-	if m == nil || m.xfd != run.xfd ||
+	if m == nil ||
 		len(m.outs) != len(run.h.Relations) || len(m.dirty) != len(run.h.Relations) ||
 		len(m.anyNull) != len(run.h.Relations) || len(m.nullsAtOrAbove) != len(run.h.Relations) {
 		run.memo = nil
@@ -422,7 +419,7 @@ func (run *Run) traverse(ctx context.Context, r *relation.Relation) gathered {
 	// The relation label scopes profile samples of this lattice
 	// traversal (and the product workers it spawns) to the pivot.
 	pprof.Do(ctx, pprof.Labels("xfd_relation", string(r.Pivot)), func(context.Context) {
-		lr.run(run.xfd)
+		lr.run()
 	})
 	if lr.err != nil {
 		g.err = lr.err
@@ -508,7 +505,6 @@ func (run *Run) memoSnapshot() *subtreeMemo {
 		return nil
 	}
 	return &subtreeMemo{
-		xfd:            run.xfd,
 		outs:           run.memoOuts,
 		dirty:          make([]bool, len(run.memoOuts)),
 		anyNull:        run.anyNull,

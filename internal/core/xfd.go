@@ -32,37 +32,15 @@ func mergeStats(dst, src *Stats) {
 // hierarchical representation of a document: a bottom-up traversal of
 // the relation tree that discovers all minimal interesting
 // intra-relation and inter-relation XML FDs and Keys, and derives the
-// data redundancies they indicate (Definition 11).
+// data redundancies they indicate (Definition 11). With
+// opts.NoInterRelation set it is DiscoverFD (Figure 8) per relation:
+// only intra-relation FDs and Keys are found.
 //
-// Discover and the other package-level wrappers below run one cold
-// Run each; callers issuing repeated runs (or concurrent ones) should
-// construct an Engine instead and reuse it.
+// Discover runs one cold Run; callers issuing repeated runs, concurrent
+// ones, or needing cancellation should construct an Engine instead and
+// reuse it.
 func Discover(h *relation.Hierarchy, opts Options) (*Result, error) {
-	return DiscoverContext(context.Background(), h, opts)
-}
-
-// DiscoverContext is Discover with cancellation. The context is
-// checked periodically in the lattice hot loops; cancellation aborts
-// with an error. Budget exhaustion (Options.Deadline,
-// Options.MaxLatticeLevel, or a truncated input hierarchy) instead
-// degrades gracefully: the partial Result found so far is returned
-// with Stats.Truncated set.
-func DiscoverContext(ctx context.Context, h *relation.Hierarchy, opts Options) (*Result, error) {
-	return NewEngine(opts).Discover(ctx, h)
-}
-
-// DiscoverIntra runs DiscoverFD (Figure 8) independently on each
-// essential relation: only intra-relation FDs and Keys are found.
-// This is the restriction the paper uses to contrast against full
-// DiscoverXFD (experiment E5).
-func DiscoverIntra(h *relation.Hierarchy, opts Options) (*Result, error) {
-	return DiscoverIntraContext(context.Background(), h, opts)
-}
-
-// DiscoverIntraContext is DiscoverIntra with cancellation (see
-// DiscoverContext).
-func DiscoverIntraContext(ctx context.Context, h *relation.Hierarchy, opts Options) (*Result, error) {
-	return NewEngine(opts).DiscoverIntra(ctx, h)
+	return NewEngine(opts).Discover(context.Background(), h)
 }
 
 // verifyFD checks one candidate FD for the final Definition 11 filter.

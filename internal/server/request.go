@@ -128,6 +128,9 @@ func (s *Server) decodeParams(r *http.Request) (*request, error) {
 // degrade=truncate mode: no partial result exists yet.
 func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.Request, req *request) error {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	// The engine only parses here, under the request's parse limits;
+	// discovery builds its own.
+	eng := discoverxfd.NewEngine(&req.opts)
 	ct := r.Header.Get("Content-Type")
 	var err error
 	if ct == "application/json" || strings.HasPrefix(ct, "application/json;") {
@@ -136,7 +139,7 @@ func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.
 			return decodeErr("request body", rerr)
 		}
 		if !isEnvelope(data) {
-			req.doc, err = discoverxfd.LoadJSONContext(ctx, bytes.NewReader(data), &req.opts)
+			req.doc, err = eng.LoadJSON(ctx, bytes.NewReader(data))
 			if err != nil {
 				return decodeErr("document", err)
 			}
@@ -158,9 +161,9 @@ func (s *Server) decodeBody(ctx context.Context, w http.ResponseWriter, r *http.
 			}
 			req.schema = sch
 		}
-		req.doc, err = s.loadAs(ctx, env.Format, strings.NewReader(env.Document), &req.opts)
+		req.doc, err = s.loadAs(ctx, eng, env.Format, strings.NewReader(env.Document))
 	} else {
-		req.doc, err = s.loadAs(ctx, "", body, &req.opts)
+		req.doc, err = s.loadAs(ctx, eng, "", body)
 	}
 	if err != nil {
 		return decodeErr("document", err)
@@ -183,17 +186,17 @@ func isEnvelope(data []byte) bool {
 	return len(d) > 0 && d[0] == '"'
 }
 
-// loadAs parses one document in the named format; "" falls back to
-// the server's default.
-func (s *Server) loadAs(ctx context.Context, format string, r io.Reader, opts *discoverxfd.Options) (*discoverxfd.Document, error) {
+// loadAs parses one document in the named format with eng's parse
+// limits; "" falls back to the server's default.
+func (s *Server) loadAs(ctx context.Context, eng *discoverxfd.Engine, format string, r io.Reader) (*discoverxfd.Document, error) {
 	if format == "" {
 		format = s.cfg.DefaultFormat
 	}
 	switch format {
 	case "xml":
-		return discoverxfd.LoadDocumentContext(ctx, r, opts)
+		return eng.LoadDocument(ctx, r)
 	case "json":
-		return discoverxfd.LoadJSONContext(ctx, r, opts)
+		return eng.LoadJSON(ctx, r)
 	default:
 		return nil, badRequest("unknown document format %q (use \"xml\" or \"json\")", format)
 	}

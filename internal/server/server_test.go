@@ -246,7 +246,7 @@ const libraryJSONDoc = `{"library": {"shelf": [
 // the library path renders for LoadJSON + inferred schema, and a
 // DefaultFormat=json server treats undeclared bodies as JSON.
 func TestJSONDocumentNegotiation(t *testing.T) {
-	doc, err := discoverxfd.LoadJSON(strings.NewReader(libraryJSONDoc))
+	doc, err := discoverxfd.NewEngine(nil).LoadJSON(context.Background(), strings.NewReader(libraryJSONDoc))
 	if err != nil {
 		t.Fatal(err)
 	}

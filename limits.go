@@ -35,7 +35,7 @@ var ErrBadLimits = errors.New("discoverxfd: invalid limits")
 //     constraint may not hold on the full document.
 //
 // Cancellation is separate from both: cancelling the context passed
-// to a ...Context function aborts the call with an error. A context
+// to an Engine method aborts the call with an error. A context
 // *deadline*, however, is a wall-clock budget like Deadline: the run
 // honors the earlier of the two and truncates gracefully when it
 // arrives (see deadlineFor), so servers can express per-request
@@ -130,19 +130,8 @@ func (l Limits) deadlineFrom(now time.Time) time.Time {
 // cancellation (context.CancelFunc) still aborts with an error.
 func (l Limits) deadlineFor(ctx context.Context, now time.Time) time.Time {
 	d := l.deadlineFrom(now)
-	if ctx == nil {
-		return d
-	}
 	if cd, ok := ctx.Deadline(); ok && (d.IsZero() || cd.Before(d)) {
 		d = cd
 	}
 	return d
-}
-
-// limits returns the configured Limits, nil-safe.
-func (o *Options) limits() Limits {
-	if o == nil {
-		return Limits{}
-	}
-	return o.Limits
 }

@@ -59,24 +59,25 @@ func TestBadLimitsFailFastAtEntryPoints(t *testing.T) {
 	opts := &discoverxfd.Options{Limits: discoverxfd.Limits{MaxTuples: -1}}
 	ctx := context.Background()
 
-	if _, err := discoverxfd.DiscoverContext(ctx, doc, s, opts); !errors.Is(err, discoverxfd.ErrBadLimits) {
-		t.Errorf("DiscoverContext err = %v, want ErrBadLimits", err)
+	eng := discoverxfd.NewEngine(opts)
+	if _, err := eng.Discover(ctx, doc, s); !errors.Is(err, discoverxfd.ErrBadLimits) {
+		t.Errorf("Discover err = %v, want ErrBadLimits", err)
 	}
-	if _, err := discoverxfd.DiscoverStreamContext(ctx, strings.NewReader(xml), s, opts); !errors.Is(err, discoverxfd.ErrBadLimits) {
-		t.Errorf("DiscoverStreamContext err = %v, want ErrBadLimits", err)
+	if _, err := eng.DiscoverStream(ctx, strings.NewReader(xml), s); !errors.Is(err, discoverxfd.ErrBadLimits) {
+		t.Errorf("DiscoverStream err = %v, want ErrBadLimits", err)
 	}
-	if _, err := discoverxfd.BuildHierarchyContext(ctx, doc, s, opts); !errors.Is(err, discoverxfd.ErrBadLimits) {
-		t.Errorf("BuildHierarchyContext err = %v, want ErrBadLimits", err)
+	if _, err := eng.BuildHierarchy(ctx, doc, s); !errors.Is(err, discoverxfd.ErrBadLimits) {
+		t.Errorf("BuildHierarchy err = %v, want ErrBadLimits", err)
 	}
-	if _, err := discoverxfd.LoadDocumentContext(ctx, strings.NewReader(xml), opts); !errors.Is(err, discoverxfd.ErrBadLimits) {
-		t.Errorf("LoadDocumentContext err = %v, want ErrBadLimits", err)
+	if _, err := eng.LoadDocument(ctx, strings.NewReader(xml)); !errors.Is(err, discoverxfd.ErrBadLimits) {
+		t.Errorf("LoadDocument err = %v, want ErrBadLimits", err)
 	}
-	h, err := discoverxfd.BuildHierarchy(doc, s, nil)
+	h, err := discoverxfd.NewEngine(nil).BuildHierarchy(ctx, doc, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := discoverxfd.DiscoverHierarchyContext(ctx, h, opts); !errors.Is(err, discoverxfd.ErrBadLimits) {
-		t.Errorf("DiscoverHierarchyContext err = %v, want ErrBadLimits", err)
+	if _, err := eng.DiscoverHierarchy(ctx, h); !errors.Is(err, discoverxfd.ErrBadLimits) {
+		t.Errorf("DiscoverHierarchy err = %v, want ErrBadLimits", err)
 	}
 }
 
@@ -92,7 +93,7 @@ func TestContextDeadlineComposesWithLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := librarySchema(t, xml)
-	h, err := discoverxfd.BuildHierarchy(doc, s, nil)
+	h, err := discoverxfd.NewEngine(nil).BuildHierarchy(context.Background(), doc, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +104,9 @@ func TestContextDeadlineComposesWithLimits(t *testing.T) {
 		// must truncate gracefully — not die with DeadlineExceeded.
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel()
-		res, err := discoverxfd.DiscoverHierarchyContext(ctx, h, &discoverxfd.Options{
+		res, err := discoverxfd.NewEngine(&discoverxfd.Options{
 			Limits: discoverxfd.Limits{Deadline: time.Hour},
-		})
+		}).DiscoverHierarchy(ctx, h)
 		if err != nil {
 			t.Fatalf("expired ctx deadline must degrade gracefully, got error: %v", err)
 		}
@@ -117,9 +118,9 @@ func TestContextDeadlineComposesWithLimits(t *testing.T) {
 	t.Run("ctx deadline bounds the whole document path", func(t *testing.T) {
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel()
-		res, err := discoverxfd.DiscoverContext(ctx, doc, s, &discoverxfd.Options{
+		res, err := discoverxfd.NewEngine(&discoverxfd.Options{
 			Limits: discoverxfd.Limits{Deadline: time.Hour},
-		})
+		}).Discover(ctx, doc, s)
 		if err != nil {
 			t.Fatalf("expired ctx deadline must degrade gracefully, got error: %v", err)
 		}
@@ -131,9 +132,9 @@ func TestContextDeadlineComposesWithLimits(t *testing.T) {
 	t.Run("Limits.Deadline earlier than generous ctx deadline", func(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 		defer cancel()
-		res, err := discoverxfd.DiscoverHierarchyContext(ctx, h, &discoverxfd.Options{
+		res, err := discoverxfd.NewEngine(&discoverxfd.Options{
 			Limits: discoverxfd.Limits{Deadline: time.Nanosecond},
-		})
+		}).DiscoverHierarchy(ctx, h)
 		if err != nil {
 			t.Fatalf("Limits.Deadline must degrade gracefully, got error: %v", err)
 		}
@@ -145,9 +146,9 @@ func TestContextDeadlineComposesWithLimits(t *testing.T) {
 	t.Run("explicit cancellation stays an error", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		res, err := discoverxfd.DiscoverHierarchyContext(ctx, h, &discoverxfd.Options{
+		res, err := discoverxfd.NewEngine(&discoverxfd.Options{
 			Limits: discoverxfd.Limits{Deadline: time.Hour},
-		})
+		}).DiscoverHierarchy(ctx, h)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}

@@ -8,12 +8,11 @@ import (
 	"discoverxfd/internal/relation"
 )
 
-// Incremental updates. A hierarchy built by BuildHierarchy (or
-// Discover) from an in-memory document stays updatable: ApplyUpdate
-// mutates it in place — tuple value changes, inserts, deletes — and
-// the engine patches its warm partitions instead of recomputing them,
-// so the next DiscoverHierarchy call over the same *Hierarchy runs
-// incrementally. Streamed hierarchies are not updatable
+// Incremental updates. A hierarchy built by Engine.BuildHierarchy
+// from an in-memory document stays updatable: ApplyUpdate mutates it
+// in place — tuple value changes, inserts, deletes — and the engine
+// patches its warm partitions instead of recomputing them, so the next
+// DiscoverHierarchy call over the same *Hierarchy runs incrementally. Streamed hierarchies are not updatable
 // (ErrNotUpdatable); rebuild those from the source.
 
 type (
