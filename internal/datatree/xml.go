@@ -104,9 +104,9 @@ func ParseXMLContext(ctx context.Context, r io.Reader, lim ParseLimits) (*Tree, 
 // openElement is one element whose end tag has not been read yet.
 type openElement struct {
 	n     *Node
-	space string // namespace prefix of the start tag, as written
+	name  *qname // the start tag's name, prefix included
 	kids  int    // offset of the element's children on the shared child stack
-	text  int    // offset of the element's character data in the shared buffer
+	text  int    // offset of the element's character data in the shared text buffer
 	binds int    // namespace bindings in scope before the element
 }
 
@@ -121,49 +121,61 @@ type nsBinding struct{ prefix, uri string }
 // data is dropped. The root, once read, is returned even with an
 // error, for its label.
 //
-// The loop reads xml.Decoder.RawToken, which neither checks that end
-// tags match nor tracks namespace scopes, so it does both itself,
-// exactly as Token would: an end tag must repeat its start tag's
-// prefix and local name, and the namespace bindings in scope decide
-// which attributes are namespace declarations. The open elements
-// share two stacks, each element's part above its ancestors': one of
-// children, copied into an exactly sized Children slice when the
-// element ends, and one buffer of character data, trimmed into the
-// element's value or @text leaf.
+// The loop reads tokens from xmlScanner, which like
+// xml.Decoder.RawToken neither checks that end tags match nor tracks
+// namespace scopes, so it does both itself, exactly as Token would:
+// an end tag must repeat its start tag's prefix and local name, and
+// the namespace bindings in scope decide which attributes are
+// namespace declarations. The open elements share two stacks, each
+// element's part above its ancestors': one of children, copied into
+// an exactly sized Children slice when the element ends, and the
+// scanner's buffer of character data, trimmed into the element's
+// value or @text leaf. Nodes and child lists come from an Arena.
 func parseXML(ctx context.Context, r io.Reader, lim ParseLimits, emit func(*Node) error) (*Node, error) {
-	dec := xml.NewDecoder(r)
+	sc := newXMLScanner(r)
+	defer sc.w.Release()
 	guard := &parseGuard{ctx: ctx, lim: lim}
 	var (
 		root  *Node
 		open  []openElement
 		kids  []*Node
-		text  []byte
 		binds []nsBinding
+		arena Arena
 	)
 	syntaxError := func(msg string) error {
-		line, _ := dec.InputPos()
-		return fmt.Errorf("datatree: XML parse error: %w", &xml.SyntaxError{Msg: msg, Line: line})
+		return fmt.Errorf("datatree: XML parse error: %w", sc.syntaxError(msg))
+	}
+	leaf := func(label string, parent *Node, value string) *Node {
+		n := arena.New()
+		n.Label, n.Parent, n.Value, n.HasValue = label, parent, value, true
+		return n
 	}
 	for {
-		tok, err := dec.RawToken()
-		if err == io.EOF {
-			break
+		var top *qname
+		if len(open) > 0 {
+			top = open[len(open)-1].name
 		}
+		tok, err := sc.next(len(open) > 1 || len(open) == 1 && emit == nil, top)
 		if err != nil {
 			return root, fmt.Errorf("datatree: XML parse error: %w", err)
+		}
+		if tok == tokEOF {
+			break
 		}
 		if err := guard.tick(); err != nil {
 			return root, err
 		}
-		switch tk := tok.(type) {
-		case xml.StartElement:
+		switch tok {
+		case tokStart:
+			name := sc.name
 			if len(open) == 0 && root != nil {
-				return root, fmt.Errorf("datatree: multiple root elements (%q and %q)", root.Label, tk.Name.Local)
+				return root, fmt.Errorf("datatree: multiple root elements (%q and %q)", root.Label, name.local)
 			}
 			if err := guard.checkDepth(len(open) + 1); err != nil {
 				return root, err
 			}
-			n := &Node{Label: tk.Name.Local}
+			n := arena.New()
+			n.Label = name.local
 			switch {
 			case root == nil:
 				root = n
@@ -171,65 +183,66 @@ func parseXML(ctx context.Context, r io.Reader, lim ParseLimits, emit func(*Node
 				n.Parent = open[len(open)-1].n
 				kids = append(kids, n)
 			}
-			el := openElement{n: n, space: tk.Name.Space, kids: len(kids), text: len(text), binds: len(binds)}
-			for _, a := range tk.Attr {
-				if a.Name.Space == "xmlns" {
-					binds = append(binds, nsBinding{a.Name.Local, a.Value})
+			el := openElement{n: n, name: name, kids: len(kids), text: len(sc.text), binds: len(binds)}
+			for _, a := range sc.attrs {
+				if a.name.space == "xmlns" {
+					binds = append(binds, nsBinding{a.name.local, a.value})
 				}
 			}
-			for _, a := range tk.Attr {
-				if !namespaceAttr(a.Name, binds) {
-					kids = append(kids, &Node{Label: "@" + a.Name.Local, Parent: n, Value: a.Value, HasValue: true})
+			for _, a := range sc.attrs {
+				if !namespaceAttr(a.name, binds) {
+					kids = append(kids, leaf(a.name.attrLabel(), n, a.value))
 				}
 			}
 			nodes := 1 + len(kids) - el.kids
 			if emit != nil && n == root {
-				nodes = 1 + len(tk.Attr) // the streamed root counts every attribute
+				nodes = 1 + len(sc.attrs) // the streamed root counts every attribute
 			}
 			if err := guard.addNodes(nodes); err != nil {
 				return root, err
 			}
 			if emit != nil && n == root {
-				for _, leaf := range kids {
-					leaf.Parent = nil
-					if err := emit(leaf); err != nil {
+				for _, l := range kids {
+					l.Parent = nil
+					if err := emit(l); err != nil {
 						return root, err
 					}
 				}
 				kids = kids[:0]
 			}
 			open = append(open, el)
-		case xml.EndElement:
+		case tokEnd:
+			end := sc.name
 			if len(open) == 0 {
-				return root, syntaxError("unexpected end element </" + tk.Name.Local + ">")
+				return root, syntaxError("unexpected end element </" + end.local + ">")
 			}
 			el := open[len(open)-1]
 			n := el.n
 			switch {
-			case n.Label != tk.Name.Local:
-				return root, syntaxError("element <" + n.Label + "> closed by </" + tk.Name.Local + ">")
-			case el.space != tk.Name.Space:
-				space := tk.Name.Space
+			case el.name.local != end.local:
+				return root, syntaxError("element <" + n.Label + "> closed by </" + end.local + ">")
+			case el.name.space != end.space:
+				space := end.space
 				if space == "" {
 					space = `""`
 				}
-				return root, syntaxError("element <" + n.Label + "> in space " + el.space +
-					" closed by </" + tk.Name.Local + "> in space " + space)
+				return root, syntaxError("element <" + n.Label + "> in space " + el.name.space +
+					" closed by </" + end.local + "> in space " + space)
 			}
 			open, binds = open[:len(open)-1], binds[:el.binds]
-			if v := bytes.TrimSpace(text[el.text:]); len(v) > 0 {
+			if v := bytes.TrimSpace(sc.text[el.text:]); len(v) > 0 {
 				if len(kids) == el.kids {
 					n.Value, n.HasValue = string(v), true
 				} else {
-					kids = append(kids, &Node{Label: TextLabel, Parent: n, Value: string(v), HasValue: true})
+					kids = append(kids, leaf(TextLabel, n, string(v)))
 					if err := guard.addNodes(1); err != nil {
 						return root, err
 					}
 				}
 			}
-			text = text[:el.text]
+			sc.text = sc.text[:el.text]
 			if len(kids) > el.kids {
-				n.Children = append([]*Node(nil), kids[el.kids:]...)
+				n.Children = arena.Children(kids[el.kids:])
 				clear(kids[el.kids:])
 				kids = kids[:el.kids]
 			}
@@ -237,10 +250,6 @@ func parseXML(ctx context.Context, r io.Reader, lim ParseLimits, emit func(*Node
 				if err := emit(n); err != nil {
 					return root, err
 				}
-			}
-		case xml.CharData:
-			if len(open) > 1 || len(open) == 1 && emit == nil {
-				text = append(text, tk...)
 			}
 		}
 	}
@@ -257,15 +266,15 @@ func parseXML(ctx context.Context, r io.Reader, lim ParseLimits, emit func(*Node
 // drops: a namespace declaration (xmlns or xmlns:p), or an attribute
 // whose prefix is bound to the namespace name "xmlns" itself — the
 // attributes namespace translation places in the "xmlns" space.
-func namespaceAttr(name xml.Name, binds []nsBinding) bool {
-	if name.Space == "xmlns" || name.Local == "xmlns" {
+func namespaceAttr(name *qname, binds []nsBinding) bool {
+	if name.space == "xmlns" || name.local == "xmlns" {
 		return true
 	}
-	if name.Space == "" || name.Space == "xml" {
+	if name.space == "" || name.space == "xml" {
 		return false
 	}
 	for i := len(binds) - 1; i >= 0; i-- {
-		if binds[i].prefix == name.Space {
+		if binds[i].prefix == name.space {
 			return binds[i].uri == "xmlns"
 		}
 	}

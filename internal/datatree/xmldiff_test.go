@@ -3,19 +3,24 @@ package datatree
 import (
 	"context"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"unicode/utf8"
+
+	"discoverxfd/internal/window"
 )
 
-// This file pins the RawToken loop behind ParseXMLContext and
+// This file pins the scanner loop behind ParseXMLContext and
 // StreamRootChildrenContext to a reference built the plain way, on
 // xml.Decoder.Token: Token matches end tags and translates namespaces
 // itself, and each open element gathers its text in its own
 // strings.Builder. Both entry points must accept and reject the same
 // documents as the reference, under the same limits, and build the
-// same nodes.
+// same nodes, whatever sizes of reads the input arrives in.
 
 // refParseXML is the reference tree parser.
 func refParseXML(r io.Reader, lim ParseLimits) (*Tree, error) {
@@ -208,54 +213,78 @@ func sameNodes(a, b *Node, path string) string {
 // the defaults, and bounds tight enough that small inputs hit them.
 var diffLimits = []ParseLimits{DefaultLimits(), {MaxDepth: 3, MaxNodes: 12}}
 
-// checkXMLDiff runs both entry points and the reference on input.
+// diffReaders are the shapes of input the scanner is held to the
+// reference under: whole, one byte per read, half of each read, and
+// the last bytes arriving together with io.EOF. The small reads put
+// every name, entity, CDATA end and value across a window refill.
+var diffReaders = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"whole", func(r io.Reader) io.Reader { return r }},
+	{"one-byte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+	{"data-err", iotest.DataErrReader},
+}
+
+// checkXMLDiff runs both entry points and the reference on input,
+// feeding the entry points through every reader of diffReaders.
 func checkXMLDiff(t *testing.T, input string) {
+	t.Helper()
+	for _, rd := range diffReaders {
+		checkXMLDiffReader(t, input, rd.name, rd.wrap)
+	}
+}
+
+func checkXMLDiffReader(t *testing.T, input, via string, wrap func(io.Reader) io.Reader) {
 	t.Helper()
 	for _, lim := range diffLimits {
 		want, refErr := refParseXML(strings.NewReader(input), lim)
-		got, err := ParseXMLContext(context.Background(), strings.NewReader(input), lim)
+		got, err := ParseXMLContext(context.Background(), wrap(strings.NewReader(input)), lim)
 		if (err == nil) != (refErr == nil) {
-			t.Fatalf("tree, limits %+v: err %v, reference err %v\ninput: %q", lim, err, refErr, input)
+			t.Fatalf("tree via %s, limits %+v: err %v, reference err %v\ninput: %q", via, lim, err, refErr, input)
 		}
 		if err == nil {
 			if d := sameNodes(got.Root, want.Root, ""); d != "" {
-				t.Fatalf("tree, limits %+v: %s\ninput: %q", lim, d, input)
+				t.Fatalf("tree via %s, limits %+v: %s\ninput: %q", via, lim, d, input)
 			}
 			if got.Size() != want.Size() {
-				t.Fatalf("tree, limits %+v: size %d vs %d\ninput: %q", lim, got.Size(), want.Size(), input)
+				t.Fatalf("tree via %s, limits %+v: size %d vs %d\ninput: %q", via, lim, got.Size(), want.Size(), input)
 			}
 		}
 
 		wantLabel, wantNodes, refErr := refStreamRootChildren(strings.NewReader(input), lim)
 		var gotNodes []*Node
-		gotLabel, err := StreamRootChildrenContext(context.Background(), strings.NewReader(input), lim, func(n *Node) error {
+		gotLabel, err := StreamRootChildrenContext(context.Background(), wrap(strings.NewReader(input)), lim, func(n *Node) error {
 			gotNodes = append(gotNodes, n)
 			return nil
 		})
 		if (err == nil) != (refErr == nil) {
-			t.Fatalf("stream, limits %+v: err %v, reference err %v\ninput: %q", lim, err, refErr, input)
+			t.Fatalf("stream via %s, limits %+v: err %v, reference err %v\ninput: %q", via, lim, err, refErr, input)
 		}
 		if err != nil {
 			continue
 		}
 		if gotLabel != wantLabel || len(gotNodes) != len(wantNodes) {
-			t.Fatalf("stream, limits %+v: root %q with %d children, reference %q with %d\ninput: %q",
-				lim, gotLabel, len(gotNodes), wantLabel, len(wantNodes), input)
+			t.Fatalf("stream via %s, limits %+v: root %q with %d children, reference %q with %d\ninput: %q",
+				via, lim, gotLabel, len(gotNodes), wantLabel, len(wantNodes), input)
 		}
 		for i := range gotNodes {
 			if gotNodes[i].Parent != nil {
-				t.Fatalf("stream, limits %+v: delivered child %d is attached to a parent\ninput: %q", lim, i, input)
+				t.Fatalf("stream via %s, limits %+v: delivered child %d is attached to a parent\ninput: %q", via, lim, i, input)
 			}
 			if d := sameNodes(gotNodes[i], wantNodes[i], ""); d != "" {
-				t.Fatalf("stream, limits %+v: child %d: %s\ninput: %q", lim, i, d, input)
+				t.Fatalf("stream via %s, limits %+v: child %d: %s\ninput: %q", via, lim, i, d, input)
 			}
 		}
 	}
 }
 
-// xmlDiffSeeds covers what the RawToken loop must do by itself —
-// end-tag matching, namespace declarations, EOF and multiple-root
-// detection — plus the text forms that reach it as character data.
+// xmlDiffSeeds covers what the loop must do by itself — end-tag
+// matching, namespace declarations, EOF and multiple-root detection —
+// and what the scanner mirrors of encoding/xml: entities and
+// character references, line ends, the UTF-8 and Char-range checks,
+// names, comments, processing instructions, CDATA and directives.
 var xmlDiffSeeds = []string{
 	"<a/>",
 	"<a><b>1</b><b>2</b></a>",
@@ -295,11 +324,135 @@ var xmlDiffSeeds = []string{
 	// The streamed root counts its namespace declarations as nodes:
 	// 13 against MaxNodes 12 here, where the tree counts 10.
 	`<r xmlns="u" xmlns:a="v" xmlns:b="w">` + strings.Repeat("<c>1</c>", 9) + "</r>",
+	// Entities and character references.
+	"<r a='&lt;&gt;&amp;&apos;&quot;'>&apos;&quot;</r>",
+	"<r>&#0065;&#x000041;&#x10FFFF;&#1114112;</r>",
+	"<r>&#x110000;</r>",
+	"<r>&#99999999999999999999999;</r>",
+	"<r>&#xD800;&#xDFFF;</r>",
+	"<r>&#0;</r>",
+	"<r>&#xFFFE;</r>",
+	"<r>&#xD;&#13;x</r>",
+	"<r>&#;</r>", "<r>&#x;</r>", "<r>&#X41;</r>", "<r>&#65</r>", "<r>&lt</r>", "<r>&;</r>", "<r>& </r>",
+	"<r>&LT;</r>", "<r>&amp</r>", "<r>&", "<r>&#", "<r>&#x4", "<r>&am",
+	`<r a="&bogus;"/>`, `<r a="&#65;"/>`,
+	// Line ends, inside text and attribute values.
+	"<r>a\r\nb\rc\r\r\nd</r>",
+	"<r a=\"1\r\n2\r3\n4\t5\"/>",
+	"<r>\r</r>", "<r>]\r]>x</r>",
+	// "]]>" outside CDATA.
+	"<r>]]></r>", "<r>]]]></r>", "<r>] ]></r>", "<r>]&#93;></r>", `<r a="]]>"/>`, "<r/>]]>",
+	"<r><![CDATA[]]></r>", "<r><![CDATA[]]]]></r>", "<r><![CDATA[a]]]>b</r>", "<r><![CDATA[\r\n]]></r>",
+	"<r><![CDATA[x", "<r><![CDAT[x]]></r>", "<r><![cdata[x]]></r>", "<![CDATA[]]><r/>",
+	// UTF-8 and the Char range.
+	"<r>\xff</r>", "<r a=\"\xc3\"/>", "<r>\x01</r>", "<r>\x7f</r>", "<r>\uFFFE</r>", "<r>\uFFFD</r>",
+	"<r>\U0001F600</r>", "<r>\xed\xa0\x80</r>", "\xff<r/>", "<r/>\x01",
+	// Names.
+	"<é/>", "<aé/>", "<_a/>", "<:a/>", "<a:/>", "<1a/>", "<.a/>", "<-a/>", "<a1.-_/>",
+	"<a:b:c/>", "<a b:c:d='1'/>", "<\u0300/>", "<a\u0300/>", "<a\xff/>", "<\u00b7/>", "<a\u00b7/>",
+	"<x:r><x:a>1</x:a></x:r>", "<:r></:r>", "<r:></r:>", "<r></ r>", "<r></r >", "<r></r x>",
+	// Start tags.
+	`<r a="1"b="2"/>`, `<r a="1" a="2"/>`, "<r a/>", "<r a=1/>", "<r a = '1' />", "<r/ >", "<r", "<r a=\"1",
+	"<r\ta\n=\r'1'/>", "< r/>", "<>", "</>",
+	// Comments.
+	"<r><!----></r>", "<r><!-- - --></r>", "<r><!-- -- --></r>", "<r><!-- --->", "<r><!--->--></r>",
+	"<r><!-x--></r>", "<r><!--", "<!-- before --><r/><!-- after -->",
+	// Processing instructions.
+	"<?xml version=\"1.1\"?><r/>", "<?xml version='1.0' encoding='utf-8'?><r/>",
+	"<?xml encoding=\"UTF-16\"?><r/>", "<?xml version=\"1.0\" encoding=\"Utf-8\"?><r/>",
+	"<r><?xml version=\"2.0\"?></r>", "<?xmlx version=\"2.0\"?><r/>", "<?XML version=\"2.0\"?><r/>",
+	"<?pi?><r/>", "<??><r/>", "<? pi?><r/>", "<?pi x><r/>", "<?pi", "<?1pi?><r/>",
+	// Directives.
+	"<!DOCTYPE r [<!ELEMENT r (#PCDATA)>]><r>1</r>",
+	"<!DOCTYPE r [<!ENTITY e \"<x>\">]><r/>",
+	"<!DOCTYPE r [<!-- > --><!ATTLIST r a CDATA '>'>]><r/>",
+	"<!DOCTYPE r [<x>]><r/>", "<!DOCTYPE r [<<x>>]><r/>", "<!DOCTYPE r '>'><r/>", "<!>x><r/>",
+	"<!DOCTYPE r [<!-- unterminated", "<!DOCTYPE",
+	// A byte order mark is text before the root.
+	"\ufeff<r/>", "\ufeff\ufeff<r/>",
 }
 
 func TestParseXMLMatchesTokenReference(t *testing.T) {
 	for _, s := range xmlDiffSeeds {
 		checkXMLDiff(t, s)
+	}
+}
+
+// TestParseXMLLongTokens holds the scanner to the reference on a
+// name, an attribute value and a text each longer than the window, so
+// the window has to grow for a single token, on a document many
+// windows long, and on more distinct names than the name table keeps.
+func TestParseXMLLongTokens(t *testing.T) {
+	long := func(unit string) string { return strings.Repeat(unit, window.Size/len(unit)+7) }
+	name := "n" + long("é-")
+	for _, input := range []string{
+		"<r><" + name + ">1</" + name + "><" + name + "/></r>",
+		`<r a="` + long("v&amp;\r\n") + `"><c b='` + long("é") + `'/></r>`,
+		"<r><c>" + long("text &#233; ") + "</c>" + long(" ") + "<c><![CDATA[" + long("]>") + "]]></c></r>",
+		"<r>" + strings.Repeat(`<c a="1">x</c><d/>`, 3*window.Size/16) + "</r>",
+		"<!DOCTYPE r [" + long("<!-- c -->") + "]><r>" + long("<!-- c --><?p i?>") + "</r>",
+		distinctNames(maxInterned + 100),
+	} {
+		checkXMLDiff(t, input)
+	}
+}
+
+// distinctNames is a document with n distinct element names, more
+// than the name table keeps when n > maxInterned, each closed twice.
+func distinctNames(n int) string {
+	var b strings.Builder
+	b.WriteString("<r>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "<n%d a%d='1'/><n%d>v</n%d>", i, i, i, i)
+	}
+	b.WriteString("</r>")
+	return b.String()
+}
+
+// TestParseXMLReaderErrorMidDocument checks that a read error part
+// way through a document ends both entry points with an error that
+// still wraps the reader's.
+func TestParseXMLReaderErrorMidDocument(t *testing.T) {
+	errBoom := errors.New("boom")
+	doc := "<r>" + strings.Repeat("<c a='1'>text</c>", window.Size/8) + "</r>"
+	for _, cut := range []int{0, 2, 5, len(doc) / 2, len(doc) - 2, len(doc)} {
+		for _, rd := range diffReaders {
+			failing := func() io.Reader {
+				return rd.wrap(io.MultiReader(strings.NewReader(doc[:cut]), iotest.ErrReader(errBoom)))
+			}
+			if _, err := ParseXMLContext(context.Background(), failing(), DefaultLimits()); !errors.Is(err, errBoom) {
+				t.Fatalf("tree via %s, cut at %d: err %v, want one wrapping %v", rd.name, cut, err, errBoom)
+			}
+			_, err := StreamRootChildrenContext(context.Background(), failing(), DefaultLimits(), func(*Node) error { return nil })
+			if !errors.Is(err, errBoom) {
+				t.Fatalf("stream via %s, cut at %d: err %v, want one wrapping %v", rd.name, cut, err, errBoom)
+			}
+		}
+	}
+}
+
+// TestNameTablesMatchEncodingXML checks isName against encoding/xml
+// for every rune of the Basic Multilingual Plane and a sample beyond,
+// each as a name's first rune and as a later one.
+func TestNameTablesMatchEncodingXML(t *testing.T) {
+	accepts := func(doc string) bool {
+		_, err := xml.NewDecoder(strings.NewReader(doc)).RawToken()
+		return err == nil
+	}
+	for r := rune(0); r <= utf8.MaxRune; r++ {
+		if r > 0xFFFF {
+			r += 0x3FF // sample the supplementary planes
+		}
+		if !utf8.ValidRune(r) || r < utf8.RuneSelf && !nameByte[r] {
+			continue
+		}
+		c := string(r)
+		if got, want := isName([]byte(c)), accepts("<"+c+"/>"); got != want {
+			t.Fatalf("isName(%U) as a first rune = %v, encoding/xml %v", r, got, want)
+		}
+		if got, want := isName([]byte("a"+c)), accepts("<a"+c+"/>"); got != want {
+			t.Fatalf("isName(%U) as a later rune = %v, encoding/xml %v", r, got, want)
+		}
 	}
 }
 

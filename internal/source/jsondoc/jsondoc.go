@@ -43,15 +43,14 @@ package jsondoc
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"unicode"
 
 	"discoverxfd/internal/datatree"
 	"discoverxfd/internal/schema"
+	"discoverxfd/internal/window"
 )
 
 // SyntheticRoot is the root label given to documents whose top level
@@ -107,198 +106,323 @@ func ParseString(s string) (*datatree.Tree, error) {
 	return Parse(strings.NewReader(s))
 }
 
-// ctxCheckInterval is how many decoder tokens are processed between
+// ctxCheckInterval is how many values are parsed between
 // context-cancellation checks.
 const ctxCheckInterval = 1024
 
-// parser carries the decoding state: the token stream, the resource
-// guard, and the set-element hints collected from arrays.
+// maxNesting bounds how deeply arrays and objects may nest, whatever
+// the limits: it is the bound json.Unmarshal applies, and it keeps
+// the parser's recursion to a bounded stack when MaxDepth is 0.
+const maxNesting = 10000
+
+// parser is a recursive-descent JSON parser over a refill window. It
+// accepts the grammar encoding/json accepts and decodes strings and
+// numbers as json.Decoder does with UseNumber: escapes and surrogate
+// pairs are decoded, invalid UTF-8 and lone surrogates become U+FFFD,
+// and numbers keep their literal spelling. It builds the tree as it
+// reads, with nodes and child lists from an Arena.
 type parser struct {
 	ctx    context.Context
-	dec    *json.Decoder
+	w      window.Reader
 	lim    datatree.ParseLimits
 	nodes  int
-	tokens int
-	hints  map[schema.Path]bool
+	values int
+	arena  datatree.Arena
+	// kids holds the children of the open objects, each one's above
+	// its ancestors'; an object's part becomes its Children when it
+	// closes.
+	kids []*datatree.Node
+	// unq holds a string's decoded bytes when it had escapes or
+	// invalid UTF-8.
+	unq []byte
+	// labels maps each distinct member name to its checked label.
+	labels map[string]string
+	// paths are the distinct element paths of the document, a node's
+	// path being an index into it.
+	paths []pathEntry
 }
 
-// ParseContext is Parse with explicit resource limits and a context.
-// Cancellation is checked periodically between decoder tokens;
-// exceeding a limit, malformed JSON, or an unrepresentable member
-// name aborts the parse with a "jsondoc:" error.
-func ParseContext(ctx context.Context, r io.Reader, lim datatree.ParseLimits) (*datatree.Tree, error) {
-	dec := json.NewDecoder(r)
-	dec.UseNumber() // keep number literals verbatim (and member order deterministic)
-	p := &parser{ctx: ctx, dec: dec, lim: lim, hints: make(map[schema.Path]bool)}
+// pathEntry is one element path: the index of its parent path (-1 for
+// a root), its last label, its child paths by label, and what was
+// seen at it.
+type pathEntry struct {
+	parent int32
+	label  string
+	kids   map[string]int32
+	flags  uint8
+}
 
-	tok, err := p.next()
+// Flags of a pathEntry.
+const (
+	hinted      = 1 << iota // an array's members sit at the path
+	valued                  // a node at the path holds a value
+	hasChildren             // a node at the path has children
+)
+
+// ParseContext is Parse with explicit resource limits and a context.
+// Cancellation is checked periodically between values; exceeding a
+// limit, malformed JSON, or an unrepresentable member name aborts the
+// parse with a "jsondoc:" error. A read error is wrapped into it.
+func ParseContext(ctx context.Context, r io.Reader, lim datatree.ParseLimits) (*datatree.Tree, error) {
+	p := &parser{ctx: ctx, lim: lim, labels: make(map[string]string)}
+	p.w.Init(r)
+	defer p.w.Release()
+
+	c, err := p.nonSpace()
 	if err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("jsondoc: document is empty")
-		}
 		return nil, err
 	}
 	var root *datatree.Node
-	switch d, ok := tok.(json.Delim); {
-	case ok && d == '{':
+	switch c {
+	case -1:
+		return nil, fmt.Errorf("jsondoc: document is empty")
+	case '{':
+		p.w.Pos++
 		if root, err = p.rootObject(); err != nil {
 			return nil, err
 		}
-	case ok && d == '[':
-		root = &datatree.Node{Label: SyntheticRoot}
+	case '[':
+		p.w.Pos++
+		root = p.rootNode(SyntheticRoot)
 		p.nodes++
-		if err := p.array(root, ItemLabel, schema.PathOf(SyntheticRoot).Child(ItemLabel), 2); err != nil {
+		path := p.newPath(-1, SyntheticRoot)
+		if err := p.array(root, ItemLabel, p.child(path, ItemLabel), 2, 1); err != nil {
 			return nil, err
 		}
+		p.close(root, 0, path)
 	default:
-		return nil, fmt.Errorf("jsondoc: top-level value must be an object or array, got %v", tok)
+		v, err := p.scalar(c)
+		if err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("jsondoc: top-level value must be an object or array, got %s", v)
 	}
-	if _, err := p.dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("jsondoc: trailing data after the document (offset %d)", p.dec.InputOffset())
-	}
-	if err := p.normalizeMixed(root); err != nil {
+	if c, err = p.nonSpace(); err != nil {
 		return nil, err
 	}
-	t := datatree.NewTree(root)
-	paths := make([]schema.Path, 0, len(p.hints))
-	for h := range p.hints {
-		paths = append(paths, h)
+	if c != -1 {
+		return nil, fmt.Errorf("jsondoc: trailing data after the document (offset %d)", p.w.Offset())
 	}
-	sort.Slice(paths, func(i, j int) bool { return paths[i] < paths[j] })
-	for _, h := range paths {
-		t.HintSet(h)
+	if p.mixed() {
+		if err := p.normalizeMixed(root); err != nil {
+			return nil, err
+		}
+	}
+	t := datatree.NewTree(root)
+	spelled := make([]schema.Path, len(p.paths))
+	for i := range p.paths {
+		if p.paths[i].flags&hinted != 0 {
+			t.HintSet(p.pathOf(int32(i), spelled))
+		}
 	}
 	return t, nil
 }
 
 // rootObject parses the top-level object (its '{' already consumed):
 // a single member holding an object names the root element, anything
-// else lands under the synthetic root. The decoder has no lookahead,
-// so the first member is parsed as the root candidate and demoted
-// under the synthetic root if a second member follows.
+// else lands under the synthetic root. The first member is parsed as
+// the root candidate and demoted under the synthetic root if a second
+// member follows; its paths then move under the synthetic root's.
 func (p *parser) rootObject() (*datatree.Node, error) {
-	rootPath := schema.PathOf(SyntheticRoot)
-	if !p.dec.More() { // {}
+	c, err := p.nonSpace()
+	if err != nil {
+		return nil, err
+	}
+	if c == '}' {
+		p.w.Pos++
 		if err := p.addNodes(1); err != nil {
 			return nil, err
 		}
-		return &datatree.Node{Label: SyntheticRoot}, p.closeObject()
+		return p.rootNode(SyntheticRoot), nil
 	}
-	key, err := p.memberKey()
+	raw, err := p.key(c)
 	if err != nil {
 		return nil, err
 	}
-	tok, err := p.next()
+	key, err := p.label(raw)
 	if err != nil {
 		return nil, err
 	}
-	if d, ok := tok.(json.Delim); ok && d == '{' {
+	if err := p.colon(); err != nil {
+		return nil, err
+	}
+	if c, err = p.nonSpace(); err != nil {
+		return nil, err
+	}
+	if c == '{' {
 		// Candidate {"label": {...}}: parse the object as if it were
 		// the root element, then check for a second member.
+		p.w.Pos++
 		if err := p.addNodes(1); err != nil {
 			return nil, err
 		}
-		cand := &datatree.Node{Label: key}
-		if err := p.members(cand, schema.PathOf(key), 2); err != nil {
+		cand := p.rootNode(key)
+		candPath := p.newPath(-1, key)
+		if err := p.members(cand, candPath, 2, 2, false); err != nil {
 			return nil, err
 		}
-		if !p.dec.More() {
-			return cand, p.closeObject()
+		p.close(cand, 0, candPath)
+		if c, err = p.nonSpace(); err != nil {
+			return nil, err
+		}
+		if c == '}' {
+			p.w.Pos++
+			return cand, nil
 		}
 		// A second member follows: demote the candidate under the
-		// synthetic root, re-anchoring the hints its subtree recorded.
+		// synthetic root, moving its paths with it.
 		if err := p.addNodes(1); err != nil {
 			return nil, err
 		}
-		root := &datatree.Node{Label: SyntheticRoot}
+		root := p.rootNode(SyntheticRoot)
+		rootPath := p.newPath(-1, SyntheticRoot)
+		p.paths[candPath].parent = rootPath
+		p.paths[rootPath].kids = map[string]int32{key: candPath}
 		cand.Parent = root
-		root.Children = append(root.Children, cand)
-		p.reprefixHints(rootPath)
-		return root, p.members(root, rootPath, 2)
+		p.kids = append(p.kids, cand)
+		if err := p.members(root, rootPath, 2, 1, true); err != nil {
+			return nil, err
+		}
+		p.close(root, 0, rootPath)
+		return root, nil
 	}
 	if err := p.addNodes(1); err != nil {
 		return nil, err
 	}
-	root := &datatree.Node{Label: SyntheticRoot}
-	if err := p.member(root, key, tok, rootPath, 2); err != nil {
+	root := p.rootNode(SyntheticRoot)
+	rootPath := p.newPath(-1, SyntheticRoot)
+	if err := p.member(root, key, p.child(rootPath, key), 2, 1); err != nil {
 		return nil, err
 	}
-	return root, p.members(root, rootPath, 2)
-}
-
-// reprefixHints re-anchors every recorded hint path under prefix —
-// needed when the root-candidate subtree turns out to live below the
-// synthetic root.
-func (p *parser) reprefixHints(prefix schema.Path) {
-	moved := make(map[schema.Path]bool, len(p.hints))
-	for h := range p.hints {
-		moved[schema.Path(string(prefix)+string(h))] = true
+	if err := p.members(root, rootPath, 2, 1, true); err != nil {
+		return nil, err
 	}
-	p.hints = moved
+	p.close(root, 0, rootPath)
+	return root, nil
 }
 
-// members parses the remaining members of an object whose '{' has
-// been consumed, attaching children to parent, and consumes the
-// closing '}'.
-func (p *parser) members(parent *datatree.Node, path schema.Path, depth int) error {
-	for p.dec.More() {
-		key, err := p.memberKey()
+// members parses the members of an object whose '{' has been
+// consumed, attaching children to parent, and consumes the closing
+// '}'. With more set, a first member has been parsed already. level
+// is the object's nesting.
+func (p *parser) members(parent *datatree.Node, path int32, depth, level int, more bool) error {
+	for {
+		c, err := p.nonSpace()
 		if err != nil {
 			return err
 		}
-		tok, err := p.next()
+		if more {
+			switch c {
+			case '}':
+				p.w.Pos++
+				return nil
+			case ',':
+				p.w.Pos++
+			default:
+				return p.unexpected(c, "after object key:value pair")
+			}
+			if c, err = p.nonSpace(); err != nil {
+				return err
+			}
+		} else if c == '}' {
+			p.w.Pos++
+			return nil
+		}
+		raw, err := p.key(c)
 		if err != nil {
 			return err
 		}
-		if err := p.member(parent, key, tok, path, depth); err != nil {
+		child, err := p.childNamed(path, raw)
+		if err != nil {
 			return err
 		}
+		if err := p.colon(); err != nil {
+			return err
+		}
+		if err := p.member(parent, p.paths[child].label, child, depth, level); err != nil {
+			return err
+		}
+		more = true
 	}
-	return p.closeObject()
 }
 
-// member attaches one object member (its key and first value token
-// already read) to parent. Array values attach one child per array
-// member directly — no wrapper node — and hint the path repeatable.
-func (p *parser) member(parent *datatree.Node, key string, tok json.Token, path schema.Path, depth int) error {
-	if d, ok := tok.(json.Delim); ok && d == '[' {
-		return p.array(parent, key, path.Child(key), depth)
+// key reads an object member's name, whose first byte c has been
+// peeked. The name's bytes are valid until the next read.
+func (p *parser) key(c int) ([]byte, error) {
+	if c != '"' {
+		return nil, p.unexpected(c, "looking for beginning of object key string")
 	}
-	return p.value(tok, parent, key, path.Child(key), depth)
+	p.w.Pos++
+	return p.str()
+}
+
+// colon consumes the colon after a member name.
+func (p *parser) colon() error {
+	c, err := p.nonSpace()
+	if err != nil {
+		return err
+	}
+	if c != ':' {
+		return p.unexpected(c, "after object key")
+	}
+	p.w.Pos++
+	return nil
+}
+
+// member attaches one object member, labeled label at path, to
+// parent. Array values attach one child per array member directly —
+// no wrapper node — and hint the path repeatable.
+func (p *parser) member(parent *datatree.Node, label string, path int32, depth, level int) error {
+	c, err := p.nonSpace()
+	if err != nil {
+		return err
+	}
+	if c == '[' {
+		if err := p.open(level); err != nil {
+			return err
+		}
+		return p.array(parent, label, path, depth, level+1)
+	}
+	return p.value(parent, label, path, depth, level)
 }
 
 // array parses the members of an array (its '[' consumed), attaching
 // each as a child of parent labeled label, and hints the element path
 // repeatable. An empty array attaches nothing: the element is
-// missing.
-func (p *parser) array(parent *datatree.Node, label string, path schema.Path, depth int) error {
-	if err := validLabel(label); err != nil {
-		return err
-	}
-	p.hints[path] = true
-	for p.dec.More() {
-		tok, err := p.next()
-		if err != nil {
-			return err
-		}
-		if err := p.value(tok, parent, label, path, depth); err != nil {
-			return err
-		}
-	}
-	tok, err := p.next()
+// missing. level is the array's nesting.
+func (p *parser) array(parent *datatree.Node, label string, path int32, depth, level int) error {
+	p.paths[path].flags |= hinted
+	c, err := p.nonSpace()
 	if err != nil {
 		return err
 	}
-	if d, ok := tok.(json.Delim); !ok || d != ']' {
-		return fmt.Errorf("jsondoc: offset %d: expected ']', got %v", p.dec.InputOffset(), tok)
+	if c == ']' {
+		p.w.Pos++
+		return nil
 	}
-	return nil
+	for {
+		if err := p.value(parent, label, path, depth, level); err != nil {
+			return err
+		}
+		if c, err = p.nonSpace(); err != nil {
+			return err
+		}
+		switch c {
+		case ']':
+			p.w.Pos++
+			return nil
+		case ',':
+			p.w.Pos++
+		default:
+			return p.unexpected(c, "after array element")
+		}
+	}
 }
 
-// value attaches one JSON value (its first token already read) as a
-// child of parent labeled label.
-func (p *parser) value(tok json.Token, parent *datatree.Node, label string, path schema.Path, depth int) error {
-	if err := validLabel(label); err != nil {
+// value parses one JSON value as a child of parent labeled label at
+// path; level is the nesting of the array or object holding it.
+func (p *parser) value(parent *datatree.Node, label string, path int32, depth, level int) error {
+	if err := p.tick(); err != nil {
 		return err
 	}
 	if err := p.checkDepth(depth); err != nil {
@@ -307,80 +431,184 @@ func (p *parser) value(tok json.Token, parent *datatree.Node, label string, path
 	if err := p.addNodes(1); err != nil {
 		return err
 	}
-	switch v := tok.(type) {
-	case json.Delim:
-		switch v {
-		case '{':
-			child := parent.AddChild(label)
-			return p.members(child, path, depth+1)
-		case '[':
-			// An array directly inside an array: JSON gives its
-			// members no name, so wrap them in a record of "item"s.
-			child := parent.AddChild(label)
-			return p.array(child, ItemLabel, path.Child(ItemLabel), depth+1)
-		default:
-			return fmt.Errorf("jsondoc: offset %d: unexpected %q", p.dec.InputOffset(), v.String())
-		}
-	case string:
-		parent.AddLeaf(label, v)
-	case json.Number:
-		parent.AddLeaf(label, v.String())
-	case bool:
-		if v {
-			parent.AddLeaf(label, "true")
-		} else {
-			parent.AddLeaf(label, "false")
-		}
-	case nil:
-		parent.AddChild(label) // present but null: a valueless leaf
-	default:
-		return fmt.Errorf("jsondoc: offset %d: unexpected token %v", p.dec.InputOffset(), tok)
-	}
-	return nil
-}
-
-// memberKey reads an object member key and validates it as an element
-// label.
-func (p *parser) memberKey() (string, error) {
-	tok, err := p.next()
-	if err != nil {
-		return "", err
-	}
-	key, ok := tok.(string)
-	if !ok {
-		return "", fmt.Errorf("jsondoc: offset %d: expected object key, got %v", p.dec.InputOffset(), tok)
-	}
-	return key, validLabel(key)
-}
-
-// closeObject consumes a '}' token.
-func (p *parser) closeObject() error {
-	tok, err := p.next()
+	c, err := p.nonSpace()
 	if err != nil {
 		return err
 	}
-	if d, ok := tok.(json.Delim); !ok || d != '}' {
-		return fmt.Errorf("jsondoc: offset %d: expected '}', got %v", p.dec.InputOffset(), tok)
+	switch c {
+	case '{':
+		if err := p.open(level); err != nil {
+			return err
+		}
+		child, off := p.node(parent, label), len(p.kids)
+		if err := p.members(child, path, depth+1, level+1, false); err != nil {
+			return err
+		}
+		p.close(child, off, path)
+	case '[':
+		// An array directly inside an array: JSON gives its members
+		// no name, so wrap them in a record of "item"s.
+		if err := p.open(level); err != nil {
+			return err
+		}
+		child, off := p.node(parent, label), len(p.kids)
+		if err := p.array(child, ItemLabel, p.child(path, ItemLabel), depth+1, level+1); err != nil {
+			return err
+		}
+		p.close(child, off, path)
+	case 'n':
+		if err := p.literal("null"); err != nil {
+			return err
+		}
+		p.node(parent, label) // present but null: a valueless leaf
+	default:
+		v, err := p.scalar(c)
+		if err != nil {
+			return err
+		}
+		n := p.node(parent, label)
+		n.Value, n.HasValue = v, true
+		p.paths[path].flags |= valued
 	}
 	return nil
 }
 
-// next reads one decoder token, ticking the cancellation check.
-func (p *parser) next() (json.Token, error) {
-	p.tokens++
-	if p.tokens%ctxCheckInterval == 0 && p.ctx != nil {
-		if err := p.ctx.Err(); err != nil {
-			return nil, fmt.Errorf("jsondoc: parse cancelled: %w", err)
-		}
+// open consumes the '[' or '{' of an array or object nested in one at
+// level, refusing to nest deeper than maxNesting.
+func (p *parser) open(level int) error {
+	if level+1 > maxNesting {
+		return p.syntaxError(fmt.Sprintf("nesting deeper than %d arrays and objects", maxNesting))
 	}
-	tok, err := p.dec.Token()
+	p.w.Pos++
+	return nil
+}
+
+// scalar reads a string, number, true or false whose first byte c has
+// been peeked, and returns its value as the tree holds it.
+func (p *parser) scalar(c int) (string, error) {
+	switch {
+	case c == '"':
+		p.w.Pos++
+		s, err := p.str()
+		return string(s), err
+	case c == '-' || '0' <= c && c <= '9':
+		return p.number()
+	case c == 't':
+		return "true", p.literal("true")
+	case c == 'f':
+		return "false", p.literal("false")
+	case c == 'n':
+		return "null", p.literal("null")
+	}
+	return "", p.unexpected(c, "looking for beginning of value")
+}
+
+// rootNode returns a new parentless node.
+func (p *parser) rootNode(label string) *datatree.Node {
+	n := p.arena.New()
+	n.Label = label
+	return n
+}
+
+// node returns a new node labeled label under parent, pushed on the
+// child stack.
+func (p *parser) node(parent *datatree.Node, label string) *datatree.Node {
+	n := p.arena.New()
+	n.Label, n.Parent = label, parent
+	p.kids = append(p.kids, n)
+	return n
+}
+
+// close gives n the children pushed since the child stack held off
+// nodes.
+func (p *parser) close(n *datatree.Node, off int, path int32) {
+	if len(p.kids) > off {
+		n.Children = p.arena.Children(p.kids[off:])
+		clear(p.kids[off:])
+		p.kids = p.kids[:off]
+		p.paths[path].flags |= hasChildren
+	}
+}
+
+// newPath adds a path with no children yet.
+func (p *parser) newPath(parent int32, label string) int32 {
+	p.paths = append(p.paths, pathEntry{parent: parent, label: label})
+	return int32(len(p.paths) - 1)
+}
+
+// child returns the path labeled label below path, adding it if new.
+func (p *parser) child(path int32, label string) int32 {
+	if id, ok := p.paths[path].kids[label]; ok {
+		return id
+	}
+	id := p.newPath(path, label)
+	if p.paths[path].kids == nil {
+		p.paths[path].kids = make(map[string]int32)
+	}
+	p.paths[path].kids[label] = id
+	return id
+}
+
+// childNamed is child for a member name as read, checked as a label
+// the first time it is seen.
+func (p *parser) childNamed(path int32, raw []byte) (int32, error) {
+	if id, ok := p.paths[path].kids[string(raw)]; ok {
+		return id, nil
+	}
+	label, err := p.label(raw)
 	if err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("jsondoc: JSON parse error: %w", err)
+		return 0, err
 	}
-	return tok, nil
+	return p.child(path, label), nil
+}
+
+// label returns the label of a member name, checking each distinct
+// name once.
+func (p *parser) label(raw []byte) (string, error) {
+	if l, ok := p.labels[string(raw)]; ok {
+		return l, nil
+	}
+	l := string(raw)
+	if err := validLabel(l); err != nil {
+		return "", err
+	}
+	p.labels[l] = l
+	return l, nil
+}
+
+// pathOf spells out a path, memoizing in spelled the paths it spells
+// on the way.
+func (p *parser) pathOf(id int32, spelled []schema.Path) schema.Path {
+	if spelled[id] == "" {
+		if e := p.paths[id]; e.parent < 0 {
+			spelled[id] = schema.PathOf(e.label)
+		} else {
+			spelled[id] = p.pathOf(e.parent, spelled).Child(e.label)
+		}
+	}
+	return spelled[id]
+}
+
+// mixed reports whether some path holds both valued nodes and nodes
+// with children, which normalizeMixed rewrites.
+func (p *parser) mixed() bool {
+	for _, e := range p.paths {
+		if e.flags&(valued|hasChildren) == valued|hasChildren {
+			return true
+		}
+	}
+	return false
+}
+
+// tick counts a value, checking for cancellation now and then.
+func (p *parser) tick() error {
+	p.values++
+	if p.values%ctxCheckInterval == 0 && p.ctx != nil {
+		if err := p.ctx.Err(); err != nil {
+			return fmt.Errorf("jsondoc: parse cancelled: %w", err)
+		}
+	}
+	return nil
 }
 
 // checkDepth enforces ParseLimits.MaxDepth (the root node is depth 1,
