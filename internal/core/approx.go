@@ -95,7 +95,7 @@ func g3ErrorDense(plhs *partition.Partition, allIDs []int32, counts []int32, lim
 // cached partitions; edges pruned by rule 1 against *exact* FDs are
 // implied approximately as well (weakening the LHS can only lower the
 // error), so the traversal's candidate structure carries over.
-func (lr *latticeRun) discoverApprox(maxErr float64) []FD {
+func (lr *latticeRun) discoverApprox(maxErr float64) []dep {
 	if maxErr <= 0 {
 		return nil
 	}
@@ -111,7 +111,7 @@ func (lr *latticeRun) discoverApprox(maxErr float64) []FD {
 	for _, e := range lr.fds {
 		exact[e] = true
 	}
-	var out []FD
+	var out []dep
 	var counts []int32 // g3ErrorDense buffer, grown to the largest group count
 	seen := make(map[edge]bool)
 	// Walk the cached attribute sets in canonical order: the edges are
@@ -152,10 +152,7 @@ func (lr *latticeRun) discoverApprox(maxErr float64) []FD {
 				removals = g3ErrorDense(pal, lr.groupIDs(a), counts, budget)
 			}
 			if removals <= budget {
-				fd := intraFD(lr.rel, e)
-				fd.Approximate = true
-				fd.Error = float64(removals) / float64(n)
-				out = append(out, fd)
+				out = append(out, dep{origin: lr.rel, lhs: al, rhs: i, g3: float64(removals) / float64(n)})
 			}
 		}
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"discoverxfd/internal/relation"
 	"discoverxfd/internal/schema"
 )
 
@@ -73,59 +75,78 @@ func TestFDString(t *testing.T) {
 	}
 }
 
-func TestRelsHelpers(t *testing.T) {
-	a := []schema.RelPath{"./x"}
-	b := []schema.RelPath{"./x", "./y"}
-	if !relsSubset(a, b) || relsSubset(b, a) {
-		t.Fatal("relsSubset wrong")
+func TestLHSMaskHelpers(t *testing.T) {
+	r := &relation.Relation{Index: 1}
+	a := dep{origin: r, lhs: 0b01, rhs: -1}
+	b := dep{origin: r, lhs: 0b11, up: []AttrSet{0, 0b100}, rhs: -1}
+	c := dep{origin: r, lhs: 0b01, up: []AttrSet{0b10}, rhs: -1}
+	if !a.subsetOf(&b) || b.subsetOf(&a) || !a.subsetOf(&a) {
+		t.Fatal("subsetOf wrong at the origin level")
 	}
-	if relsEqual(a, b) || !relsEqual(b, []schema.RelPath{"./y", "./x"}) {
-		t.Fatal("relsEqual wrong")
+	if c.subsetOf(&b) || b.subsetOf(&c) || !a.subsetOf(&c) {
+		t.Fatal("subsetOf wrong across ancestor levels")
+	}
+	if a.size() != 1 || b.size() != 3 || c.size() != 2 {
+		t.Fatalf("sizes %d %d %d", a.size(), b.size(), c.size())
+	}
+	if cmpDep(b, b) != 0 || cmpDep(a, c) >= 0 || cmpDep(c, b) >= 0 {
+		t.Fatal("cmpDep must order by size first")
 	}
 }
 
+// depRel is a relation with attributes ./a0, ./a1, … for the
+// minimizer tests.
+func depRel(pivot schema.Path, index, attrs int) *relation.Relation {
+	r := &relation.Relation{Pivot: pivot, Index: index}
+	for i := 0; i < attrs; i++ {
+		r.Attrs = append(r.Attrs, relation.Attr{Rel: schema.RelPath(fmt.Sprintf("./a%d", i))})
+	}
+	return r
+}
+
 func TestMinimizeFDs(t *testing.T) {
-	fds := []FD{
-		{Class: "/c", LHS: []schema.RelPath{"./a", "./b"}, RHS: "./z"},
-		{Class: "/c", LHS: []schema.RelPath{"./a"}, RHS: "./z"},
-		{Class: "/c", LHS: []schema.RelPath{"./a"}, RHS: "./z"}, // duplicate
-		{Class: "/c", LHS: []schema.RelPath{"./b"}, RHS: "./y"},
-		{Class: "/d", LHS: []schema.RelPath{"./a", "./b"}, RHS: "./z"}, // other class: kept
+	c, d := depRel("/c", 1, 4), depRel("/d", 2, 4)
+	fds := []dep{
+		{origin: c, lhs: 0b011, rhs: 3},
+		{origin: c, lhs: 0b001, rhs: 3},
+		{origin: c, lhs: 0b001, rhs: 3}, // duplicate
+		{origin: c, lhs: 0b010, rhs: 2},
+		{origin: d, lhs: 0b011, rhs: 3}, // other class: kept
 	}
-	out := minimizeFDs(fds)
+	out := minimal(fds)
 	if len(out) != 3 {
-		t.Fatalf("minimizeFDs kept %d, want 3: %v", len(out), out)
+		t.Fatalf("minimal kept %d FDs, want 3: %v", len(out), out)
 	}
-	for _, fd := range out {
-		if fd.Class == "/c" && fd.RHS == "./z" && len(fd.LHS) != 1 {
-			t.Fatalf("non-minimal FD survived: %v", fd)
+	for _, f := range out {
+		if f.origin == c && f.rhs == 3 && f.size() != 1 {
+			t.Fatalf("non-minimal FD survived: %v", f.fd())
 		}
 	}
 }
 
 func TestMinimizeKeys(t *testing.T) {
-	keys := []Key{
-		{Class: "/c", LHS: []schema.RelPath{"./a", "./b"}},
-		{Class: "/c", LHS: []schema.RelPath{"./a"}},
-		{Class: "/c", LHS: []schema.RelPath{"./b", "./c"}},
-		{Class: "/c", LHS: []schema.RelPath{"./a"}}, // duplicate
+	c := depRel("/c", 1, 3)
+	keys := []dep{
+		{origin: c, lhs: 0b011, rhs: -1},
+		{origin: c, lhs: 0b001, rhs: -1},
+		{origin: c, lhs: 0b110, rhs: -1},
+		{origin: c, lhs: 0b001, rhs: -1}, // duplicate
 	}
-	out := minimizeKeys(keys)
-	if len(out) != 2 {
-		t.Fatalf("minimizeKeys kept %d, want 2: %v", len(out), out)
+	if out := minimal(keys); len(out) != 2 {
+		t.Fatalf("minimal kept %d keys, want 2: %v", len(out), out)
 	}
 }
 
 func TestDropSuperkeyLHS(t *testing.T) {
-	keys := []Key{{Class: "/c", LHS: []schema.RelPath{"./k"}}}
-	fds := []FD{
-		{Class: "/c", LHS: []schema.RelPath{"./k", "./x"}, RHS: "./z"}, // superkey LHS
-		{Class: "/c", LHS: []schema.RelPath{"./x"}, RHS: "./z"},
-		{Class: "/d", LHS: []schema.RelPath{"./k"}, RHS: "./z"}, // other class
-	}
-	out := dropSuperkeyLHS(fds, keys)
-	if len(out) != 2 {
-		t.Fatalf("dropSuperkeyLHS kept %d, want 2: %v", len(out), out)
+	c, d := depRel("/c", 1, 3), depRel("/d", 2, 3)
+	keys := []dep{{origin: c, lhs: 0b001, rhs: -1}}
+	fds := minimal([]dep{
+		{origin: c, lhs: 0b011, rhs: 2}, // superkey LHS
+		{origin: c, lhs: 0b010, rhs: 2},
+		{origin: d, lhs: 0b001, rhs: 2}, // other class
+	})
+	if out := dropCovered(fds, keys, (*dep).class); len(out) != 2 {
+		t.Fatalf("dropCovered kept %d FDs, want 2: %v", len(out), out)
 	}
 }
 

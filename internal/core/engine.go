@@ -101,15 +101,16 @@ func (m *subtreeMemo) markDirty(r *relation.Relation, resized bool) {
 }
 
 // memoOutput is one essential relation's contribution to a run: its
-// intra/inter FDs, keys and approximate FDs (already converted to
-// public form) plus the outgoing targets it handed to its parent.
-// Outgoing targets are replayed as clones — the consuming parent
-// appends to a target's satisfied list, which must not leak across
-// runs — while the FD/key slices are append-only shared.
+// intra/inter FDs, keys and approximate FDs in lattice coordinates
+// plus the outgoing targets it handed to its parent. Outgoing targets
+// are replayed as clones — the consuming parent appends to a target's
+// satisfied list, which must not leak across runs — while the dep
+// slices are copied into the replaying run, whose minimize sorts and
+// compacts its own.
 type memoOutput struct {
-	fds    []FD
-	keys   []Key
-	approx []FD
+	fds    []dep
+	keys   []dep
+	approx []dep
 	out    []*target
 	tuples int
 }

@@ -110,7 +110,12 @@ func evaluateContext(ctx context.Context, h *relation.Hierarchy, class schema.Pa
 	if rref.ups != 0 {
 		return Evaluation{}, fmt.Errorf("core: RHS %s of an interesting FD must stay within the pivot's subtree", rhs)
 	}
+	return evaluateRefs(ctx, origin, refs, rref.attr)
+}
 
+// evaluateRefs is the evaluator on resolved paths: refs locate the LHS
+// attributes, rhsAttr is an attribute of origin.
+func evaluateRefs(ctx context.Context, origin *relation.Relation, refs []ref, rhsAttr int) (Evaluation, error) {
 	n := origin.NRows()
 	groups := make(map[string][]int, n)
 	var sig strings.Builder
@@ -144,7 +149,7 @@ func evaluateContext(ctx context.Context, h *relation.Hierarchy, class schema.Pa
 
 	ev := Evaluation{Holds: true, LHSIsKey: true}
 	removals := 0
-	rcol := origin.Cols[rref.attr]
+	rcol := origin.Cols[rhsAttr]
 	//lint:detorder per-group tallies only += ints and latch booleans, so group order cannot reach the Evaluation output
 	for _, g := range groups {
 		if len(g) < 2 {

@@ -341,24 +341,3 @@ func joinRels(rs []schema.RelPath) string {
 func sortRels(rs []schema.RelPath) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
 }
-
-// relsSubset reports whether a ⊆ b as path sets (both sorted or not).
-func relsSubset(a, b []schema.RelPath) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	set := make(map[schema.RelPath]bool, len(b))
-	for _, r := range b {
-		set[r] = true
-	}
-	for _, r := range a {
-		if !set[r] {
-			return false
-		}
-	}
-	return true
-}
-
-func relsEqual(a, b []schema.RelPath) bool {
-	return len(a) == len(b) && relsSubset(a, b)
-}

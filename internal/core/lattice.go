@@ -20,8 +20,8 @@ type edge struct {
 type relOutput struct {
 	intraFDs  []edge    // satisfied minimal intra-relation FDs
 	intraKeys []AttrSet // minimal intra-relation keys
-	interFDs  []FD      // inter-relation FDs satisfied at this level
-	interKeys []Key
+	interFDs  []dep     // inter-relation FDs satisfied at this level
+	interKeys []dep
 	outgoing  []*target // targets for the parent relation
 }
 
@@ -32,7 +32,6 @@ type latticeRun struct {
 	rel      *relation.Relation
 	opts     *Options
 	stats    *Stats
-	depths   []int // hierarchy depth per relation, indexed by Relation.Index
 	incoming []*target
 
 	// gov is the run's resource governor (nil in ungoverned tests):
@@ -330,9 +329,9 @@ func (lr *latticeRun) checkTargets(a AttrSet, gids []int32, nulls []bool) {
 		if pt.satisfiedBy(gids, nulls) {
 			pt.satisfied = append(pt.satisfied, a)
 			if pt.keyOnly {
-				lr.out.interKeys = append(lr.out.interKeys, pt.keyAt(lr.rel, a, lr.depths))
+				lr.out.interKeys = append(lr.out.interKeys, pt.at(a))
 			} else {
-				lr.out.interFDs = append(lr.out.interFDs, pt.fdAt(lr.rel, a, lr.depths))
+				lr.out.interFDs = append(lr.out.interFDs, pt.at(a))
 			}
 			continue
 		}
@@ -513,7 +512,12 @@ func (lr *latticeRun) nullsFor(a AttrSet) []bool {
 }
 
 // supersetOfKey reports whether a contains a discovered key (pruning
-// rule 3, Figure 8 line 18).
+// rule 3, Figure 8 line 18). It runs only when a node is enqueued, so
+// it prunes against the keys found so far: a key found later in the
+// same level does not remove supersets already queued, which are then
+// visited and can be emitted as keys themselves. Emitted keys are
+// therefore not minimal by construction; Run.minimize removes the
+// superkeys.
 func (lr *latticeRun) supersetOfKey(a AttrSet) bool {
 	if lr.opts.DisableKeyPruning {
 		return false

@@ -66,14 +66,13 @@ func randomDoc(seed int64) *datatree.Tree {
 // origin relation's attributes plus all ancestor attributes, lifted
 // into the origin's relative notation.
 func availablePaths(h *relation.Hierarchy, origin *relation.Relation) []schema.RelPath {
-	depths := relationDepths(h)
 	var out []schema.RelPath
-	for rel := origin; rel != nil; rel = rel.Parent {
+	for rel, ups := origin, 0; rel != nil; rel, ups = rel.Parent, ups+1 {
 		if !rel.Essential && rel != origin {
 			break // stop at the synthetic root
 		}
-		for i := range rel.Attrs {
-			out = append(out, relPathsFor(rel, AttrSet(0).Add(i), origin, depths)...)
+		for _, a := range rel.Attrs {
+			out = append(out, liftRelPath(a.Rel, ups))
 		}
 	}
 	return out

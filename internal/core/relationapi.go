@@ -27,19 +27,15 @@ func DiscoverRelation(rel *relation.Relation, opts Options) ([]FD, []Key, Stats,
 	lr.close()
 	cache.flushStats(&stats)
 
+	rawFDs, rawKeys := lr.appendIntra(nil, nil)
 	var fds []FD
-	for _, e := range lr.out.intraFDs {
-		if e.lhs == 0 && !opts.KeepConstantFDs {
-			continue
-		}
-		fds = append(fds, intraFD(rel, e))
+	for _, d := range minimal(rawFDs) {
+		fds = append(fds, d.fd())
 	}
 	var keys []Key
-	for _, k := range lr.out.intraKeys {
-		keys = append(keys, intraKey(rel, k))
+	for _, d := range minimal(rawKeys) {
+		keys = append(keys, d.key())
 	}
-	fds = minimizeFDs(fds)
-	keys = minimizeKeys(keys)
 	sortFDs(fds)
 	sortKeys(keys)
 	return fds, keys, stats, nil

@@ -40,7 +40,6 @@ type Run struct {
 	// Plan products, all indexed by relation.Relation.Index (plain
 	// slices, not pointer-keyed maps: cheaper to build, and iteration
 	// order is trivially deterministic).
-	depths         []int    // hierarchy depth of each relation
 	anyNull        [][]bool // per relation, per row: any column missing
 	nullsAtOrAbove []bool   // per relation: missing values here or in any ancestor
 
@@ -148,12 +147,17 @@ func (run *Run) pipeline() (res *Result, err error) {
 		return nil, err
 	}
 	run.res.Stats = top.stats
-	var fds []FD
-	_ = run.stage("minimize", func(context.Context) error { fds = run.minimize(&top); return nil })
-	if err := run.stage("verify", func(context.Context) error { return run.verify(fds) }); err != nil {
+	var fds, keys []dep
+	var evs []Evaluation
+	_ = run.stage("minimize", func(context.Context) error { fds, keys = run.minimize(&top); return nil })
+	err = run.stage("verify", func(ctx context.Context) (err error) {
+		fds, evs, err = run.verify(ctx, fds)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	_ = run.stage("assemble", func(context.Context) error { run.assemble(top.approx); return nil })
+	_ = run.stage("assemble", func(context.Context) error { run.assemble(fds, evs, keys, top.approx); return nil })
 	run.res.Stats.WallTime = time.Since(start)
 	return run.res, nil
 }
@@ -178,10 +182,10 @@ func (run *Run) stage(name string, fn func(ctx context.Context) error) (err erro
 
 // plan validates the input and precomputes the relation-indexed
 // tables every later stage reads: the 64-attribute width check, the
-// Index invariant the slices depend on, per-relation hierarchy
-// depths, and the null-row tables that decide whether degenerate
-// target pairs can be satisfied vacuously. Input truncation carries
-// over into the governor so the Result reports it.
+// Index invariant the slices depend on, and the null-row tables that
+// decide whether degenerate target pairs can be satisfied vacuously.
+// Input truncation carries over into the governor so the Result
+// reports it.
 func (run *Run) plan() error {
 	h := run.h
 	for i, r := range h.Relations {
@@ -195,8 +199,6 @@ func (run *Run) plan() error {
 	if h.Truncated {
 		run.gov.truncate(h.TruncatedReason)
 	}
-
-	run.depths = relationDepths(h)
 
 	run.anyNull = make([][]bool, len(h.Relations))
 	run.nullsAtOrAbove = make([]bool, len(h.Relations))
@@ -295,26 +297,11 @@ func (run *Run) nullBoundaryOK(m *subtreeMemo, r *relation.Relation) bool {
 	return true
 }
 
-// relationDepths returns each relation's depth in the hierarchy tree
-// (root 0), indexed by Relation.Index.
-func relationDepths(h *relation.Hierarchy) []int {
-	depths := make([]int, len(h.Relations))
-	var walk func(r *relation.Relation, depth int)
-	walk = func(r *relation.Relation, depth int) {
-		depths[r.Index] = depth
-		for _, c := range r.Children {
-			walk(c, depth+1)
-		}
-	}
-	walk(h.Root, 0)
-	return depths
-}
-
 // gathered collects what one subtree's traversal produced.
 type gathered struct {
-	fds    []FD
-	keys   []Key
-	approx []FD
+	fds    []dep
+	keys   []dep
+	approx []dep
 	stats  Stats
 	out    []*target
 	err    error // first error in deterministic child order
@@ -412,7 +399,7 @@ func (run *Run) traverse(ctx context.Context, r *relation.Relation) gathered {
 		trace.Emit(run.tr, &trace.Event{Kind: trace.KindRelationStart,
 			Relation: string(r.Pivot), Tuples: r.NRows(), Attrs: r.NAttrs()})
 	}
-	lr := &latticeRun{rel: r, opts: &run.opts, stats: &g.stats, depths: run.depths, incoming: incoming, gov: run.gov, cache: run.cache}
+	lr := &latticeRun{rel: r, opts: &run.opts, stats: &g.stats, incoming: incoming, gov: run.gov, cache: run.cache}
 	if p := r.Parent; p != nil {
 		lr.ni = nullInfo{parentAnyNull: run.anyNull[p.Index], aboveParent: p.Parent != nil && run.nullsAtOrAbove[p.Parent.Index]}
 	}
@@ -431,15 +418,7 @@ func (run *Run) traverse(ctx context.Context, r *relation.Relation) gathered {
 	}
 
 	fdsBefore, keysBefore, approxBefore := len(g.fds), len(g.keys), len(g.approx)
-	for _, e := range lr.out.intraFDs {
-		if e.lhs == 0 && !run.opts.KeepConstantFDs {
-			continue
-		}
-		g.fds = append(g.fds, intraFD(r, e))
-	}
-	for _, k := range lr.out.intraKeys {
-		g.keys = append(g.keys, intraKey(r, k))
-	}
+	g.fds, g.keys = lr.appendIntra(g.fds, g.keys)
 	g.fds = append(g.fds, lr.out.interFDs...)
 	g.keys = append(g.keys, lr.out.interKeys...)
 	if run.opts.ApproxError > 0 {
@@ -452,9 +431,9 @@ func (run *Run) traverse(ctx context.Context, r *relation.Relation) gathered {
 	// outgoing targets are stored as-is: this run's parent may append
 	// to their satisfied lists, which replay resets via clone.
 	run.memoOuts[r.Index] = &memoOutput{
-		fds:    append([]FD(nil), g.fds[fdsBefore:]...),
-		keys:   append([]Key(nil), g.keys[keysBefore:]...),
-		approx: append([]FD(nil), g.approx[approxBefore:]...),
+		fds:    append([]dep(nil), g.fds[fdsBefore:]...),
+		keys:   append([]dep(nil), g.keys[keysBefore:]...),
+		approx: append([]dep(nil), g.approx[approxBefore:]...),
 		out:    lr.out.outgoing,
 		tuples: r.NRows(),
 	}
@@ -512,17 +491,19 @@ func (run *Run) memoSnapshot() *subtreeMemo {
 	}
 }
 
-// minimize reduces the traversal's raw FD and key streams to minimal
-// form: duplicate and superset-LHS FDs go, keys are minimized and
-// sorted into the Result, and FDs whose LHS contains a discovered key
-// are dropped (a superkey LHS indicates no redundancy). The surviving
-// candidates are returned for verification.
-func (run *Run) minimize(top *gathered) []FD {
-	fds := minimizeFDs(top.fds)
-	run.res.Keys = minimizeKeys(top.keys)
-	fds = dropSuperkeyLHS(fds, run.res.Keys)
-	sortKeys(run.res.Keys)
-	return fds
+// minimize reduces the traversal's raw FD and key streams, in lattice
+// coordinates, to minimal form: per class and RHS, duplicate and
+// superset-LHS FDs go; per class, duplicate and superset keys go; and
+// FDs whose LHS contains a key of their class are dropped (a superkey
+// LHS indicates no redundancy). Lattice-emitted keys need the key pass
+// too: key pruning acts only when a node is enqueued, so a key found
+// later in the same level does not stop supersets already queued. It
+// returns the candidate FDs for verification and the minimal keys,
+// both sorted with cmpDep; the raw streams are reused for them.
+func (run *Run) minimize(top *gathered) (fds, keys []dep) {
+	keys = minimal(top.keys)
+	fds = dropCovered(minimal(top.fds), keys, (*dep).class)
+	return fds, keys
 }
 
 // verify applies the Definition 11 filter: an FD indicates a
@@ -531,39 +512,56 @@ func (run *Run) minimize(top *gathered) []FD {
 // FDs; the final check against the independent evaluator (which also
 // provides the witness counts) guarantees the invariant exactly.
 // Intra-relation FDs reuse the run's partition cache (see verifyFD).
-func (run *Run) verify(fds []FD) error {
-	for _, fd := range fds {
+// The surviving FDs keep their order and come back with their
+// evaluations; fds is reused for them. Cancellation is checked per FD
+// through the governor; the evaluator itself runs without ctx's
+// cancellation, so a spent deadline still truncates instead of failing.
+func (run *Run) verify(ctx context.Context, fds []dep) ([]dep, []Evaluation, error) {
+	ctx = context.WithoutCancel(ctx)
+	kept := fds[:0]
+	var evs []Evaluation
+	for i := range fds {
 		if err := run.gov.cancelled(); err != nil {
-			return err
+			return nil, nil, err
 		}
-		ev, err := verifyFD(run.cache, run.h, fd, run.opts.NaivePartitions)
+		ev, err := verifyFD(ctx, run.cache, &fds[i], run.opts.NaivePartitions)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		if ev.LHSIsKey {
-			continue
+		if !ev.LHSIsKey {
+			kept = append(kept, fds[i])
+			evs = append(evs, ev)
 		}
-		run.res.FDs = append(run.res.FDs, fd)
-		run.res.Redundancies = append(run.res.Redundancies, Redundancy{
-			FD:              fd,
-			RedundantValues: ev.Witnesses,
-			Groups:          ev.WitnessGroups,
-		})
 	}
-	return nil
+	return kept, evs, nil
 }
 
-// assemble puts the Result into its deterministic output order, folds
-// the approximate pass in (minimal, not implied by an exact FD), and
-// stamps the truncation status and cache counters.
-func (run *Run) assemble(rawApprox []FD) {
+// assemble builds the Result: the only place results become RelPath
+// strings. FDs, keys and redundancies go into their deterministic
+// (class, RHS, joined LHS) output order, the approximate pass is
+// folded in (minimal, not implied by a verified exact FD), and the
+// truncation status and cache counters are stamped.
+func (run *Run) assemble(fds []dep, evs []Evaluation, keys, rawApprox []dep) {
 	res := run.res
+	for i := range fds {
+		fd := fds[i].fd()
+		res.FDs = append(res.FDs, fd)
+		res.Redundancies = append(res.Redundancies, Redundancy{
+			FD:              fd,
+			RedundantValues: evs[i].Witnesses,
+			Groups:          evs[i].WitnessGroups,
+		})
+	}
 	sortFDs(res.FDs)
 	sortRedundancies(res.Redundancies)
-	if len(rawApprox) > 0 {
-		res.ApproxFDs = minimizeApprox(rawApprox, res.FDs)
-		sortFDs(res.ApproxFDs)
+	for i := range keys {
+		res.Keys = append(res.Keys, keys[i].key())
 	}
+	sortKeys(res.Keys)
+	for _, d := range dropCovered(minimal(rawApprox), fds, (*dep).goal) {
+		res.ApproxFDs = append(res.ApproxFDs, d.approxFD())
+	}
+	sortFDs(res.ApproxFDs)
 	res.Stats.Truncated, res.Stats.TruncatedReason = run.gov.status()
 	run.cache.flushStats(&res.Stats)
 }

@@ -63,13 +63,6 @@ func mkPair(a, b int32) pair {
 	return pair{a, b}
 }
 
-// lhsPart records attributes absorbed into a target's LHS at one
-// relation level.
-type lhsPart struct {
-	rel   *relation.Relation
-	attrs AttrSet
-}
-
 // target is a partition target (the paper's Figure 10 struct): a
 // candidate partial FD — or, when keyOnly is set, a candidate partial
 // Key — originating at relation origin, together with the
@@ -88,11 +81,17 @@ type lhsPart struct {
 type target struct {
 	origin *relation.Relation // relation of the tuple class C
 	lhs0   AttrSet            // LHS attributes at the origin relation
-	rhs    int                // RHS attribute index (regular targets)
-	parts  []lhsPart          // attributes absorbed at intermediate levels
+	rhs    int                // RHS attribute index (-1 for keyOnly targets)
+
+	// ups counts the parent hops from the origin to the relation the
+	// target is checked at; up holds the attributes absorbed at the
+	// levels in between in dep form (up[u-1] at u hops, trailing
+	// empty levels omitted).
+	ups int
+	up  []AttrSet
 
 	// keyOnly marks candidate partial Keys: lhs0 is a key within
-	// every parent but not globally; rhs is meaningless.
+	// every parent but not globally.
 	keyOnly bool
 
 	pairs []pair
@@ -289,6 +288,7 @@ func createTarget(rel *relation.Relation, lhs AttrSet, rhs int,
 		origin: rel,
 		lhs0:   lhs,
 		rhs:    rhs,
+		ups:    1,
 		pairs:  ps,
 	}
 }
@@ -355,6 +355,8 @@ func createKeyTarget(rel *relation.Relation, a AttrSet, pa *partition.Partition,
 	return &target{
 		origin:  rel,
 		lhs0:    a,
+		rhs:     -1,
+		ups:     1,
 		keyOnly: true,
 		pairs:   ps,
 	}
@@ -387,9 +389,9 @@ func (t *target) convert(rel *relation.Relation, gids []int32, nulls []bool,
 		targetDropped(rel, opts, st, "pair set overflow")
 		return nil
 	}
-	parts := t.parts
+	up := t.up
 	if absorbed != 0 {
-		parts = append(append([]lhsPart(nil), t.parts...), lhsPart{rel: rel, attrs: absorbed})
+		up = t.absorb(absorbed)
 	}
 	ps := set.slice()
 	targetPropagated(rel, opts, st, len(ps))
@@ -397,7 +399,8 @@ func (t *target) convert(rel *relation.Relation, gids []int32, nulls []bool,
 		origin:  t.origin,
 		lhs0:    t.lhs0,
 		rhs:     t.rhs,
-		parts:   parts,
+		ups:     t.ups + 1,
+		up:      up,
 		keyOnly: t.keyOnly,
 		pairs:   ps,
 	}
@@ -427,43 +430,20 @@ func (t *target) remaining(gids []int32, nulls []bool) int {
 	return n
 }
 
-// fdAt materializes the inter-relation FD obtained by absorbing
-// attribute set a of relation rel into the target's LHS, with all
-// paths relativized to the origin pivot.
-func (t *target) fdAt(rel *relation.Relation, a AttrSet, depths []int) FD {
-	lhs := t.lhsRels(depths)
-	lhs = append(lhs, relPathsFor(rel, a, t.origin, depths)...)
-	sortRels(lhs)
-	return FD{Class: t.origin.Pivot, LHS: lhs, RHS: t.origin.Attrs[t.rhs].Rel, Inter: true}
+// absorb returns the target's ancestor LHS sets with a added at the
+// level it is checked at.
+func (t *target) absorb(a AttrSet) []AttrSet {
+	up := make([]AttrSet, t.ups)
+	copy(up, t.up)
+	up[t.ups-1] = a
+	return up
 }
 
-// keyAt materializes the inter-relation Key analogously.
-func (t *target) keyAt(rel *relation.Relation, a AttrSet, depths []int) Key {
-	lhs := t.lhsRels(depths)
-	lhs = append(lhs, relPathsFor(rel, a, t.origin, depths)...)
-	sortRels(lhs)
-	return Key{Class: t.origin.Pivot, LHS: lhs, Inter: true}
-}
-
-func (t *target) lhsRels(depths []int) []schema.RelPath {
-	lhs := relPathsFor(t.origin, t.lhs0, t.origin, depths)
-	for _, part := range t.parts {
-		lhs = append(lhs, relPathsFor(part.rel, part.attrs, t.origin, depths)...)
-	}
-	return lhs
-}
-
-// relPathsFor expresses attributes of relation rel relative to the
-// pivot of the origin relation, e.g. attribute ./contact/name of
-// R_store becomes ../contact/name for origin class C_book. depths is
-// the run's Relation.Index-indexed depth table (see Run.plan).
-func relPathsFor(rel *relation.Relation, a AttrSet, origin *relation.Relation, depths []int) []schema.RelPath {
-	ups := depths[origin.Index] - depths[rel.Index]
-	out := make([]schema.RelPath, 0, a.Size())
-	for _, i := range a.Attrs() {
-		out = append(out, liftRelPath(rel.Attrs[i].Rel, ups))
-	}
-	return out
+// at is the result of completing the target with attribute set a of
+// the relation it is checked at: an inter-relation FD, or a Key for
+// keyOnly targets, in lattice coordinates.
+func (t *target) at(a AttrSet) dep {
+	return dep{origin: t.origin, lhs: t.lhs0, up: t.absorb(a), rhs: t.rhs}
 }
 
 // liftRelPath prefixes a pivot-relative path with ups ".." steps.

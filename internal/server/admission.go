@@ -29,10 +29,11 @@ var (
 // immediately — the queue is the only buffering the server does, so
 // overload turns into fast 429s instead of unbounded latency.
 //
-// Admission is two-phase so that waiting is cancellable: Acquire
-// either grants a slot, enqueues a ticket and blocks on it (honoring
-// ctx), or fails fast with a typed error. Release hands the slot to
-// the head of the queue, preserving arrival order.
+// Admission is two-phase so that waiting is cancellable: reserve
+// either grants a slot, enqueues a ticket, or fails fast with a typed
+// error; wait blocks on the ticket (honoring ctx). Acquire is both in
+// one call. Release hands the slot to the head of the queue,
+// preserving arrival order.
 type admission struct {
 	mu       sync.Mutex
 	slots    int            // concurrent run capacity
@@ -71,62 +72,95 @@ func newAdmission(slots, depth, quota int) *admission {
 }
 
 // Acquire admits one run for the tenant, blocking in FIFO order while
-// the server is saturated. It returns a release function to defer, or
-// a typed error: ErrQueueFull / ErrTenantOverQuota (shed, retry
-// later), ErrDraining (shutting down), or ctx.Err() if the caller
-// gave up while queued.
+// the server is saturated: reserve, then wait. It returns a release
+// function to defer, or a typed error: ErrQueueFull /
+// ErrTenantOverQuota (shed, retry later), ErrDraining (shutting down),
+// or ctx.Err() if the caller gave up while queued.
 func (a *admission) Acquire(ctx context.Context, tenant string) (release func(), err error) {
+	res, err := a.reserve(tenant)
+	if err != nil {
+		return nil, err
+	}
+	return res.wait(ctx)
+}
+
+// reservation is a claim reserve granted: a run slot already held, or
+// a ticket queued for the next free one. Exactly one of wait or cancel
+// must follow, or the slot or ticket leaks.
+type reservation struct {
+	a      *admission
+	tenant string
+	t      *ticket // nil when the slot was granted at reserve time
+}
+
+// reserve is the fast, non-blocking half of admission: it grants a
+// slot, enqueues a ticket, or fails with ErrDraining,
+// ErrTenantOverQuota or ErrQueueFull. The async job path reserves
+// before it answers 202, so an accepted job has a place to run.
+func (a *admission) reserve(tenant string) (*reservation, error) {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if a.draining {
-		a.mu.Unlock()
 		return nil, ErrDraining
 	}
 	if a.quota > 0 && a.tenants[tenant] >= a.quota {
-		a.mu.Unlock()
 		return nil, ErrTenantOverQuota
 	}
+	res := &reservation{a: a, tenant: tenant}
 	if a.running < a.slots && len(a.queue) == 0 {
 		a.running++
-		a.tenants[tenant]++
-		a.mu.Unlock()
-		return a.releaseFunc(tenant), nil
+	} else {
+		if len(a.queue) >= a.depth {
+			return nil, ErrQueueFull
+		}
+		res.t = &ticket{tenant: tenant, ready: make(chan struct{})}
+		a.queue = append(a.queue, res.t)
 	}
-	if len(a.queue) >= a.depth {
-		a.mu.Unlock()
-		return nil, ErrQueueFull
-	}
-	t := &ticket{tenant: tenant, ready: make(chan struct{})}
-	a.queue = append(a.queue, t)
 	a.tenants[tenant]++
-	a.mu.Unlock()
+	return res, nil
+}
 
+// wait blocks until the reservation holds a slot and returns its
+// release. On error — the drain's ErrDraining, or ctx.Err() if the
+// caller gave up while queued — the reservation holds nothing.
+func (r *reservation) wait(ctx context.Context) (release func(), err error) {
+	if r.t == nil {
+		return r.a.releaseFunc(r.tenant), nil
+	}
 	select {
-	case <-t.ready:
-		if t.err != nil {
-			return nil, t.err
+	case <-r.t.ready:
+		if r.t.err != nil {
+			return nil, r.t.err
 		}
-		return a.releaseFunc(tenant), nil
+		return r.a.releaseFunc(r.tenant), nil
 	case <-ctx.Done():
-		a.mu.Lock()
-		for i, q := range a.queue {
-			if q == t {
-				a.queue = append(a.queue[:i], a.queue[i+1:]...)
-				a.decTenant(tenant)
-				a.mu.Unlock()
-				return nil, ctx.Err()
-			}
-		}
-		a.mu.Unlock()
-		// Promoted (or drained) in the race with ctx: consume the
-		// grant so the slot is not leaked, then report the
-		// cancellation.
-		<-t.ready
-		if t.err != nil {
-			return nil, t.err
-		}
-		a.releaseFunc(tenant)()
+		r.cancel()
 		return nil, ctx.Err()
 	}
+}
+
+// cancel gives the reservation up without running: a queued ticket
+// leaves the queue, a granted slot is released.
+func (r *reservation) cancel() {
+	if r.t != nil {
+		r.a.mu.Lock()
+		for i, q := range r.a.queue {
+			if q == r.t {
+				r.a.queue = append(r.a.queue[:i], r.a.queue[i+1:]...)
+				r.a.decTenant(r.tenant)
+				r.a.mu.Unlock()
+				return
+			}
+		}
+		r.a.mu.Unlock()
+		// Promoted or drained in the race: a drained ticket holds
+		// nothing, a promoted one holds a slot to release.
+		<-r.t.ready
+		if r.t.err != nil {
+			return
+		}
+	}
+	r.a.releaseFunc(r.tenant)()
 }
 
 // releaseFunc returns the idempotent release for one granted slot.

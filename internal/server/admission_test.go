@@ -218,3 +218,65 @@ func TestStatusOf(t *testing.T) {
 		}
 	}
 }
+
+// TestReservationCancelReleases pins that a reservation given up
+// without running holds nothing afterwards, whether it was granted at
+// reserve time, still queued, or promoted in the meantime.
+func TestReservationCancelReleases(t *testing.T) {
+	a := newAdmission(1, 2, 0)
+	granted, err := a.reserve("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := a.reserve("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	promoted, err := a.reserve("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if running, q := a.Load(); running != 1 || q != 2 {
+		t.Fatalf("load = %d running, %d queued; want 1, 2", running, q)
+	}
+
+	queued.cancel() // leaves the queue
+	if running, q := a.Load(); running != 1 || q != 1 {
+		t.Fatalf("after queued cancel: %d running, %d queued; want 1, 1", running, q)
+	}
+	granted.cancel() // hands the slot to "c"
+	if running, q := a.Load(); running != 1 || q != 0 {
+		t.Fatalf("after granted cancel: %d running, %d queued; want 1, 0", running, q)
+	}
+	promoted.cancel() // releases the slot it was promoted into
+	if running, q := a.Load(); running != 0 || q != 0 {
+		t.Fatalf("after promoted cancel: %d running, %d queued; want 0, 0", running, q)
+	}
+	if per := a.PerTenant(); len(per) != 0 {
+		t.Fatalf("tenants still counted after every cancel: %v", per)
+	}
+}
+
+// TestReserveFailsFast pins that reserve never blocks: with the slot
+// held and the queue full it sheds at once, and a reservation's wait
+// honours its context without leaking the ticket.
+func TestReserveFailsFast(t *testing.T) {
+	a := newAdmission(1, 1, 0)
+	release := mustAcquire(t, a, "a")
+	defer release()
+	res, err := a.reserve("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.reserve("c"); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("err = %v, want ErrQueueFull", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := res.wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("wait err = %v, want context.Canceled", err)
+	}
+	if _, q := a.Load(); q != 0 {
+		t.Fatalf("cancelled wait left %d queued", q)
+	}
+}

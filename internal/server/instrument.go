@@ -199,6 +199,8 @@ func statusClass(code int) string {
 // explode the label space).
 func (s *Server) instrument(route string, h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.open.add(1)
+		defer s.open.add(-1) // after request_end: Drain waits for it
 		start := time.Now()
 		flags := "01"
 		var traceID string

@@ -175,9 +175,11 @@ func (r *registry) count() int {
 func (r *registry) wait() { r.wg.Wait() }
 
 // handleSubmitJob is POST /v1/jobs: decode synchronously (the client
-// learns about a bad request immediately), then run discovery on a
-// job goroutine that queues for admission like any sync request.
-// Responds 202 with the job's status document.
+// learns about a bad request immediately) and reserve admission
+// (overload sheds now, with 429 + Retry-After), then run discovery on
+// a job goroutine that waits on the reservation. Responds 202 with the
+// job's status document: an accepted job will run unless it is
+// cancelled or the server drains.
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	req, err := s.decodeParams(r)
 	if err != nil {
@@ -201,8 +203,18 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Reserve admission before answering 202: an accepted job has a
+	// run slot or a queue place, and overload sheds here with the
+	// sync path's 429 + Retry-After instead of failing the job later.
+	adm, err := s.adm.reserve(req.tenant)
+	if err != nil {
+		cancel()
+		s.writeError(w, r, err)
+		return
+	}
 	j := s.jobs.add(req.tenant, s.cfg.FeedCapacity, cancel)
 	if j == nil {
+		adm.cancel()
 		cancel()
 		s.stats.rejectedOverload.Add(1)
 		noteReason(r, "jobs_full")
@@ -216,17 +228,17 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 
 	s.jobs.wg.Add(1)
 	//lint:governed job goroutines are joined by registry.wait on the drain path, and runJob's recover barrier turns their panics into failed jobs.
-	go s.runJob(ctx, cancel, j, req)
+	go s.runJob(ctx, cancel, j, req, adm)
 
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSONStatus(w, http.StatusAccepted, j.view())
 }
 
-// runJob executes one async discovery end to end: admission, run,
-// render, terminal state. Its recover barrier is the async
-// counterpart of the HTTP recovery middleware — a panicking job
-// fails that job, never the process.
-func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, req *request) {
+// runJob executes one async discovery end to end: waiting on its
+// admission reservation, run, render, terminal state. Its recover
+// barrier is the async counterpart of the HTTP recovery middleware —
+// a panicking job fails that job, never the process.
+func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, req *request, adm *reservation) {
 	defer s.jobs.wg.Done()
 	defer cancel()
 	defer func() {
@@ -238,7 +250,7 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 		}
 	}()
 
-	release, err := s.adm.Acquire(ctx, req.tenant)
+	release, err := adm.wait(ctx)
 	if err != nil {
 		s.jobFailed(j, err)
 		return

@@ -343,3 +343,45 @@ func TestJobDegradeTruncate(t *testing.T) {
 			res.Stats.Truncated, res.Stats.TruncatedReason)
 	}
 }
+
+// TestJobSubmitShedsUnderLoad pins that 202 means "will run": with
+// every slot busy and the queue full, a submission is shed up front
+// with the sync path's 429 + Retry-After, and an accepted job that is
+// cancelled while queued gives its queue place back.
+func TestJobSubmitShedsUnderLoad(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrent: 1, QueueDepth: 1})
+	release, err := s.adm.Acquire(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+
+	rec := do(s, "POST", "/v1/jobs", nil, strings.NewReader(libraryXML(6)))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit into a free queue place = %d, want 202", rec.Code)
+	}
+	var v jobView
+	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+		t.Fatal(err)
+	}
+	rec = do(s, "POST", "/v1/jobs", nil, strings.NewReader(libraryXML(6)))
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("submit into a full queue = %d, want 429", rec.Code)
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Error("shed job submission missing Retry-After")
+	}
+	if got := s.Stats().Tenants[""].Sheds["queue_full"]; got != 1 {
+		t.Errorf("queue_full sheds = %d, want 1", got)
+	}
+
+	if rec := do(s, "DELETE", "/v1/jobs/"+v.ID, nil, nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("cancel = %d", rec.Code)
+	}
+	if got := pollJob(t, s, v.ID, terminal); got.State != stateCancelled {
+		t.Fatalf("state = %q, want cancelled", got.State)
+	}
+	if _, queued := s.adm.Load(); queued != 0 {
+		t.Fatalf("cancelled job left %d tickets queued", queued)
+	}
+}

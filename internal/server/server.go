@@ -174,6 +174,42 @@ type Server struct {
 	draining  atomic.Bool
 	drainOnce sync.Once
 	drained   chan struct{} // closed once every in-flight run is done
+	open      openRequests  // requests inside the instrumentation middleware
+}
+
+// openRequests counts requests whose span is still open, so Drain can
+// wait until every request_end is written: a sync request that never
+// reached admission (its client went away mid-upload, say) holds no
+// run slot, yet its span must close before drain reports done.
+type openRequests struct {
+	mu   sync.Mutex
+	n    int           // guarded by mu
+	idle chan struct{} // closed when n drops to 0; guarded by mu
+}
+
+func (o *openRequests) add(delta int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.n += delta
+	if o.n == 0 && o.idle != nil {
+		close(o.idle)
+		o.idle = nil
+	}
+}
+
+// done returns a channel closed once no request is open.
+func (o *openRequests) done() <-chan struct{} {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.n == 0 {
+		ch := make(chan struct{})
+		close(ch)
+		return ch
+	}
+	if o.idle == nil {
+		o.idle = make(chan struct{})
+	}
+	return o.idle
 }
 
 // New constructs a Server. ctx is the server's lifecycle context:
@@ -383,9 +419,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // Drain moves the server to the draining state and waits for
 // in-flight work: new submissions get 503, queued-but-unstarted
 // admissions are failed with 503, running syncs and jobs complete,
-// and job goroutines are joined. If ctx fires first the remaining
-// jobs are aborted through the lifecycle context and the error
-// reports how many were cut short. Idempotent; the first caller wins.
+// job goroutines are joined, and every open request finishes (so its
+// request_end span is written). If ctx fires first the remaining jobs
+// are aborted through the lifecycle context and the error reports the
+// cut. Idempotent; the first caller wins.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
@@ -400,11 +437,16 @@ func (s *Server) Drain(ctx context.Context) error {
 	})
 	select {
 	case <-s.drained:
-		return nil
 	case <-ctx.Done():
 		s.abort()   // cancel every straggler through the lifecycle ctx
 		<-s.drained // runs unwind promptly once cancelled
 		return fmt.Errorf("server: drain cut short (%w); in-flight runs were aborted", ctx.Err())
+	}
+	select {
+	case <-s.open.done():
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("server: drain cut short (%w); requests still open", ctx.Err())
 	}
 }
 

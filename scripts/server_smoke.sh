@@ -4,8 +4,9 @@
 # liveness/readiness, synchronous discovery, an async job observed
 # over SSE, resident documents with incremental updates (PATCH
 # /v1/documents), graceful degradation under a wall-clock deadline,
-# overload shedding (429 + Retry-After), and a SIGTERM drain that
-# completes in-flight work. CI runs it with the server built -race.
+# overload shedding (429 + Retry-After, sync and async), and a SIGTERM
+# drain that completes in-flight work. CI runs it with the server
+# built -race.
 #
 # Usage: scripts/server_smoke.sh [path-to-xfdd-binary]
 # (no argument: builds the binary with -race into a temp dir)
@@ -157,6 +158,9 @@ grep -qi '^retry-after:' "$WORK/hdr429" || fail "429 without Retry-After"
 grep -qi '^traceparent: 00-0af7651916cd43dd8448eb211c80319c-' "$WORK/hdr429" ||
   fail "429 does not echo the inbound trace id"
 grep -qi '^x-request-id: ' "$WORK/hdr429" || fail "429 without X-Request-Id"
+# An async job reserves admission before answering, so it is shed the
+# same way instead of being accepted with 202 and failing later.
+code 429 --data-binary "@$WORK/corpus.xml" "$BASE/v1/jobs"
 
 note "stage 6b: metrics exposition is valid and carries the contract"
 curl -sf "$BASE/metrics" > "$WORK/metrics.prom" || fail "scraping /metrics"
